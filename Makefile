@@ -89,8 +89,9 @@ bench-all:
 # sweep (clean run must report zero violations; the stale-TLB,
 # fastpath-skip, span-leak, lock-order, queue-corrupt, lost-steal and
 # driver plants must each be caught by exactly their rule), the
-# big-lock/fine-grained scheduler oracle, the incremental verifier (dirty-set re-check
-# bit-identical to a full oracle within the 20% budget; the stale-proof
+# big-lock/fine-grained scheduler oracle, the incremental verifier on two
+# domains (dirty-set re-check bit-identical to a full oracle within the
+# 20% budget; the stale-proof
 # plant caught by exactly its rule), the profiler's request-path
 # reconstruction over the kv-store demo, the trace CLI's per-kind
 # --filter and --sample admission paths, the SLO monitor (a compliant
@@ -119,7 +120,7 @@ check:
 	&& dune exec bin/atmo_cli.exe -- san --plant lost-completion \
 	&& dune exec bin/atmo_cli.exe -- san --plant stalled-cpu \
 	&& dune exec bin/atmo_cli.exe -- monitor --workload kv --requests 64 \
-	&& dune exec bin/atmo_cli.exe -- verify --incremental \
+	&& dune exec bin/atmo_cli.exe -- verify --incremental -j 2 \
 	&& dune exec bin/atmo_cli.exe -- verify --plant stale-proof \
 	&& dune exec bin/atmo_cli.exe -- profile --requests 8 \
 	&& dune exec bin/atmo_cli.exe -- trace --workload kv --iterations 20 \

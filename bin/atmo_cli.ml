@@ -69,11 +69,37 @@ let verdicts report =
       (r.Obligation.name, r.Obligation.ok, r.Obligation.detail))
     report.Runner.results
 
+let pp_verdict ppf (ok, detail) =
+  if ok then Format.pp_print_string ppf "ok"
+  else Format.fprintf ppf "FAILED (%s)" (Option.value ~default:"no detail" detail)
+
+(* The first suite position whose verdict differs between the
+   incremental report and the full oracle, if any. *)
+let first_divergence incr oracle =
+  let rec go i = function
+    | x :: a, y :: b -> if x = y then go (i + 1) (a, b) else Some (i, Some x, Some y)
+    | [], [] -> None
+    | x :: _, [] -> Some (i, Some x, None)
+    | [], y :: _ -> Some (i, None, Some y)
+  in
+  go 0 (verdicts incr, verdicts oracle)
+
+let report_divergence ~scale ~threads (i, incr, oracle) =
+  let side what = function
+    | None -> Format.printf "  %s: <no obligation at position %d>@." what i
+    | Some (n, ok, d) -> Format.printf "  %s: %s %a@." what n pp_verdict (ok, d)
+  in
+  Format.printf "verdicts vs full re-check: DIVERGED at position %d@." i;
+  side "incremental" incr;
+  side "full       " oracle;
+  Format.printf "  replay: dune exec bin/atmo_cli.exe -- verify --incremental --scale %d -j %d@."
+    scale threads
+
 (* One full discharge to populate the verdict cache, one syscall on the
    live world, then an incremental re-run: only obligations whose read
    set intersects the transition's dirty set may be re-discharged, and
    the spliced report must be verdict-identical to a from-scratch run. *)
-let verify_incremental ~threads ~verbose k init suite =
+let verify_incremental ~scale ~threads ~verbose k init suite =
   let full = Incremental.run ~threads suite in
   Format.printf "full run:        ";
   print_report ~threads ~verbose:false full;
@@ -90,9 +116,11 @@ let verify_incremental ~threads ~verbose k init suite =
   let frac = 100. *. float_of_int incr.Runner.rechecked /. float_of_int (max 1 n) in
   Format.printf "re-discharged %d/%d obligations (%.1f%%), reused %d cached verdicts@."
     incr.Runner.rechecked n frac incr.Runner.reused;
-  let identical = verdicts incr = verdicts oracle in
-  Format.printf "verdicts vs full re-check: %s@."
-    (if identical then "bit-identical" else "DIVERGED");
+  let divergence = first_divergence incr oracle in
+  let identical = Option.is_none divergence in
+  (match divergence with
+   | None -> Format.printf "verdicts vs full re-check: bit-identical@."
+   | Some d -> report_divergence ~scale ~threads d);
   let ok = Runner.all_ok incr in
   if not ok then ignore (report_failures incr);
   if identical && ok && frac <= 20. then begin
@@ -151,7 +179,7 @@ let verify scale threads verbose incremental plant =
        Fun.protect ~finally:Incremental.disarm (fun () ->
            let suite = Catalog.suite_for ~scale k in
            if plant <> None then verify_plant_stale_proof ~threads k init suite
-           else verify_incremental ~threads ~verbose k init suite))
+           else verify_incremental ~scale ~threads ~verbose k init suite))
   | _ ->
     (match Catalog.full_suite ~scale with
      | Error msg ->

@@ -74,6 +74,20 @@ let write_u64 t ~addr v =
   if !hook_armed then !hook t Write addr 8;
   Bytes.set_int64_le (frame_of t addr) (addr land (page_size - 1)) v
 
+(* Page-granular scan for table walkers: one frame lookup and one hook
+   call for the whole page, slots read unboxed, zero slots skipped. *)
+let iter_nonzero_u64 t ~page f =
+  check_bounds t page page_size "iter_nonzero_u64";
+  if page land (page_size - 1) <> 0 then invalid_arg "Phys_mem.iter_nonzero_u64: unaligned";
+  if !hook_armed then !hook t Read page page_size;
+  match frame_opt t page with
+  | None -> ()
+  | Some b ->
+    for i = 0 to (page_size / 8) - 1 do
+      let v = Bytes.get_int64_le b (i * 8) in
+      if not (Int64.equal v 0L) then f i v
+    done
+
 let read_u8 t ~addr =
   check_bounds t addr 1 "read_u8";
   if !hook_armed then !hook t Read addr 1;

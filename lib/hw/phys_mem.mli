@@ -77,6 +77,14 @@ val read_u64 : t -> addr:int -> int64
 val write_u64 : t -> addr:int -> int64 -> unit
 (** Little-endian 8-byte store, same alignment rules as {!read_u64}. *)
 
+val iter_nonzero_u64 : t -> page:int -> (int -> int64 -> unit) -> unit
+(** [iter_nonzero_u64 mem ~page f] calls [f slot v] for each nonzero
+    8-byte slot of the 4 KiB frame at [page], in ascending slot order
+    ([slot] in [0, 512)).  It yields exactly the nonzero values that
+    {!read_u64} would at [page + 8 * slot], with one frame lookup and a
+    single access-hook [Read] of the whole page.  [page] must be
+    page-aligned and in bounds; raises [Invalid_argument] otherwise. *)
+
 val read_u8 : t -> addr:int -> int
 
 val write_u8 : t -> addr:int -> int -> unit

@@ -1,10 +1,11 @@
-(* -1 is the nil link; the [member] array is the source of truth for
-   membership so that id 0 with nil links is unambiguous. *)
+(* -1 is the nil link; the [member] flags are the source of truth for
+   membership so that id 0 with nil links is unambiguous.  One byte per
+   flag: an allocator builds three lists as long as its frame count. *)
 type t = {
   name : string;
   prev : int array;
   next : int array;
-  member : bool array;
+  member : Bytes.t;
   mutable first : int;
   mutable last : int;
   mutable length : int;
@@ -18,11 +19,14 @@ let create ~capacity ~name =
     name;
     prev = Array.make capacity nil;
     next = Array.make capacity nil;
-    member = Array.make capacity false;
+    member = Bytes.make capacity '\000';
     first = nil;
     last = nil;
     length = 0;
   }
+
+let is_member t id = Bytes.get t.member id <> '\000'
+let set_member t id b = Bytes.set t.member id (if b then '\001' else '\000')
 
 let name t = t.name
 let capacity t = Array.length t.prev
@@ -35,13 +39,13 @@ let check_id t id op =
 
 let mem t id =
   check_id t id "mem";
-  t.member.(id)
+  is_member t id
 
 let push_front t id =
   check_id t id "push_front";
-  if t.member.(id) then
+  if is_member t id then
     invalid_arg (Printf.sprintf "Dll.push_front(%s): %d already a member" t.name id);
-  t.member.(id) <- true;
+  set_member t id true;
   t.prev.(id) <- nil;
   t.next.(id) <- t.first;
   if t.first <> nil then t.prev.(t.first) <- id else t.last <- id;
@@ -50,9 +54,9 @@ let push_front t id =
 
 let push_back t id =
   check_id t id "push_back";
-  if t.member.(id) then
+  if is_member t id then
     invalid_arg (Printf.sprintf "Dll.push_back(%s): %d already a member" t.name id);
-  t.member.(id) <- true;
+  set_member t id true;
   t.next.(id) <- nil;
   t.prev.(id) <- t.last;
   if t.last <> nil then t.next.(t.last) <- id else t.first <- id;
@@ -61,12 +65,12 @@ let push_back t id =
 
 let remove t id =
   check_id t id "remove";
-  if not t.member.(id) then
+  if not (is_member t id) then
     invalid_arg (Printf.sprintf "Dll.remove(%s): %d not a member" t.name id);
   let p = t.prev.(id) and n = t.next.(id) in
   if p <> nil then t.next.(p) <- n else t.first <- n;
   if n <> nil then t.prev.(n) <- p else t.last <- p;
-  t.member.(id) <- false;
+  set_member t id false;
   t.prev.(id) <- nil;
   t.next.(id) <- nil;
   t.length <- t.length - 1
@@ -93,49 +97,50 @@ let iter t f =
   let rec go id = if id <> nil then begin f id; go t.next.(id) end in
   go t.first
 
+type corruption =
+  | Set_prev of int * int
+  | Set_next of int * int
+  | Set_member of int * bool
+  | Set_length of int
+
+let corrupt t = function
+  | Set_prev (id, v) -> t.prev.(id) <- v
+  | Set_next (id, v) -> t.next.(id) <- v
+  | Set_member (id, b) -> set_member t id b
+  | Set_length n -> t.length <- n
+
 let to_list t =
   let acc = ref [] in
   iter t (fun id -> acc := id :: !acc);
   List.rev !acc
 
+(* One forward walk that checks each hop's back link.  With
+   [prev first = nil] and [last] = the walk's end, that is exactly "the
+   forward and backward traversals agree", without building either. *)
 let wf t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let cap = capacity t in
-  (* Forward traversal, bounded by capacity to detect cycles. *)
-  let rec forward id seen count =
-    if id = nil then Ok (List.rev seen, count)
-    else if count > cap then err "%s: forward traversal exceeds capacity (cycle)" t.name
-    else if not t.member.(id) then err "%s: %d linked but not a member" t.name id
-    else forward t.next.(id) (id :: seen) (count + 1)
+  let rec walk prev id count =
+    if id = nil then
+      if t.last <> prev then
+        err "%s: last is %d but forward traversal ends at %d" t.name t.last prev
+      else if count <> t.length then
+        err "%s: length %d but traversal found %d" t.name t.length count
+      else Ok ()
+    else if count >= cap then err "%s: forward traversal exceeds capacity (cycle)" t.name
+    else if id < 0 || id >= cap then err "%s: link to out-of-range id %d" t.name id
+    else if not (is_member t id) then err "%s: %d linked but not a member" t.name id
+    else if t.prev.(id) <> prev then err "%s: prev(%d) <> %d" t.name id prev
+    else walk id t.next.(id) (count + 1)
   in
-  match forward t.first [] 0 with
+  match walk nil t.first 0 with
   | Error _ as e -> e
-  | Ok (fwd, n) ->
-    if n <> t.length then err "%s: length %d but traversal found %d" t.name t.length n
-    else
-      let rec backward id seen count =
-        if id = nil then Ok (List.rev seen)
-        else if count > cap then err "%s: backward traversal exceeds capacity" t.name
-        else backward t.prev.(id) (id :: seen) (count + 1)
-      in
-      (match backward t.last [] 0 with
-       | Error _ as e -> e
-       | Ok bwd ->
-         if List.rev bwd <> fwd then err "%s: forward/backward traversals disagree" t.name
-         else begin
-           (* Membership flags must match exactly the traversed ids. *)
-           let members = ref 0 in
-           Array.iter (fun b -> if b then incr members) t.member;
-           if !members <> t.length then
-             err "%s: %d member flags but length %d" t.name !members t.length
-           else
-             (* Adjacent link consistency. *)
-             let rec adj = function
-               | a :: (b :: _ as rest) ->
-                 if t.next.(a) <> b then err "%s: next(%d) <> %d" t.name a b
-                 else if t.prev.(b) <> a then err "%s: prev(%d) <> %d" t.name b a
-                 else adj rest
-               | _ -> Ok ()
-             in
-             adj fwd
-         end)
+  | Ok () ->
+    (* Membership flags must match exactly the traversed ids. *)
+    let members = ref 0 in
+    for id = 0 to cap - 1 do
+      if is_member t id then incr members
+    done;
+    if !members <> t.length then
+      err "%s: %d member flags but length %d" t.name !members t.length
+    else Ok ()

@@ -35,7 +35,20 @@ val iter : t -> (int -> unit) -> unit
 val to_list : t -> int list
 (** Front-to-back order. *)
 
+(** Raw damage for tests that check {!wf} rejects each kind of
+    corruption; nothing else calls it. *)
+type corruption =
+  | Set_prev of int * int  (** [Set_prev (id, v)]: the back link of [id] becomes [v] *)
+  | Set_next of int * int  (** [Set_next (id, v)]: the forward link of [id] becomes [v] *)
+  | Set_member of int * bool  (** overwrite the membership flag of an id *)
+  | Set_length of int  (** overwrite the cached length *)
+
+val corrupt : t -> corruption -> unit
+(** Apply one corruption, maintaining no invariant. *)
+
 val wf : t -> (unit, string) result
-(** Structural well-formedness: forward and backward traversals agree,
-    lengths match, membership flags are consistent, no cycles.  This is
-    the executable form of the allocator's free-list invariant. *)
+(** Structural well-formedness: forward and backward traversals agree
+    (checked as one forward walk that verifies every back link), lengths
+    match, membership flags are consistent, no cycles.  Allocates
+    nothing on success.  This is the executable form of the allocator's
+    free-list invariant. *)

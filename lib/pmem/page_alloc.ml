@@ -4,6 +4,20 @@ open Page_state
 
 type purpose = Kernel | User
 
+(* The spec views partition the managed frames into six classes; the
+   cache below keeps one set per class, indexed by [class_of]. *)
+let class_names = [| "free4k"; "free2m"; "free1g"; "allocated"; "mapped"; "merged" |]
+let nclasses = Array.length class_names
+
+let class_of m =
+  match m.state with
+  | Free -> (match m.size with S4k -> 0 | S2m -> 1 | S1g -> 2)
+  | Allocated -> 3
+  | Mapped _ -> 4
+  | Merged _ -> 5
+
+let journal_cap = 64
+
 type t = {
   mem : Phys_mem.t;
   first : int;  (* first managed frame index *)
@@ -12,6 +26,21 @@ type t = {
   free4k : Dll.t;
   free2m : Dll.t;
   free1g : Dll.t;
+  (* The six frame-state sets, valid up to the journaled ranges.  A
+     published array is never mutated, so a caller may hold it while
+     the next query publishes a successor. *)
+  mutable sets : Iset.t array;
+  (* Bounded journal of frame ranges [lo, hi) whose metadata changed
+     since the last query.  [j_stale] holds until the first query and
+     after an overflow: the journal is then ignored and the next query
+     rebuilds every set. *)
+  j_lo : int array;
+  j_hi : int array;
+  mutable j_len : int;
+  mutable j_stale : bool;
+  (* Queries may come from several discharge domains at once over one
+     shared world; the replay that publishes [sets] runs under this. *)
+  j_lock : Mutex.t;
 }
 
 let frame_addr i = i * Phys_mem.page_size
@@ -70,6 +99,12 @@ let create mem ~reserved_frames =
       free4k = Dll.create ~capacity:nframes ~name:"free4k";
       free2m = Dll.create ~capacity:nframes ~name:"free2m";
       free1g = Dll.create ~capacity:nframes ~name:"free1g";
+      sets = Array.make nclasses Iset.empty;
+      j_lo = Array.make journal_cap 0;
+      j_hi = Array.make journal_cap 0;
+      j_len = 0;
+      j_stale = true;
+      j_lock = Mutex.create ();
     }
   in
   for i = reserved_frames to nframes - 1 do
@@ -93,6 +128,19 @@ let head_meta t ~addr op =
     invalid_arg (Printf.sprintf "Page_alloc.%s: 0x%x unaligned" op addr);
   (i, t.meta.(i))
 
+(* Record that frames [lo, hi) changed state class or may have.  No
+   allocation: two array stores and a counter bump.  A range wider than
+   a 2 MiB block (a 1 GiB merge or split) marks the cache stale instead:
+   replaying it would cost more than the rebuild. *)
+let journal t ~lo ~hi =
+  if not t.j_stale then
+    if t.j_len = journal_cap || hi - lo > frames_per S2m then t.j_stale <- true
+    else begin
+      t.j_lo.(t.j_len) <- lo;
+      t.j_hi.(t.j_len) <- hi;
+      t.j_len <- t.j_len + 1
+    end
+
 let zero_block t i size =
   for j = i to i + frames_per size - 1 do
     Phys_mem.zero_page t.mem ~addr:(frame_addr j)
@@ -109,6 +157,7 @@ let claim t i size purpose =
   note (Claim { alloc = t; addr = frame_addr i; frames = frames_per size; purpose });
   m.size <- size;
   m.state <- (match purpose with Kernel -> Allocated | User -> Mapped 1);
+  journal t ~lo:i ~hi:(i + 1);
   zero_block t i size;
   if Atmo_obs.Sink.tracing () then begin
     Atmo_obs.Sink.emit_page_alloc ~addr:(frame_addr i) ~order:(order_of size) ();
@@ -131,6 +180,7 @@ let absorb t ~head ~sub ~free_list ~count =
   for k = 0 to count - 1 do
     Dll.remove free_list (head + (k * stride))
   done;
+  journal t ~lo:head ~hi:(head + (count * stride));
   for j = head + 1 to head + (count * stride) - 1 do
     t.meta.(j).state <- Merged head;
     t.meta.(j).size <- S4k
@@ -219,6 +269,7 @@ let split t ~head ~super ~sub ~sub_list =
   let stride = frames_per sub in
   let span = frames_per super in
   Atmo_hw.Tlb.shoot_frames t.mem ~lo:(frame_addr head) ~hi:(frame_addr (head + span));
+  journal t ~lo:head ~hi:(head + span);
   t.meta.(head).size <- sub;
   Dll.push_back sub_list head;
   let k = ref stride in
@@ -273,6 +324,7 @@ let release t i =
   let m = t.meta.(i) in
   note (Release { alloc = t; addr = frame_addr i; frames = frames_per m.size });
   m.state <- Free;
+  journal t ~lo:i ~hi:(i + 1);
   let list =
     match m.size with S4k -> t.free4k | S2m -> t.free2m | S1g -> t.free1g
   in
@@ -332,29 +384,41 @@ let size_of t ~addr =
 let is_free t ~addr =
   match state_of t ~addr with Some Free -> true | _ -> false
 
-let collect t pred =
-  let acc = ref Iset.empty in
-  for i = t.first to t.nframes - 1 do
-    if pred t.meta.(i) then acc := Iset.add (frame_addr i) !acc
-  done;
-  !acc
+(* Bring the cached sets up to date and return them: replay only the
+   journaled frames, so sets no journaled frame entered or left stay
+   physically the same value; rebuild everything when stale. *)
+let current t =
+  Mutex.protect t.j_lock (fun () ->
+      if t.j_stale then begin
+        let acc = Array.make nclasses [] in
+        for i = t.nframes - 1 downto t.first do
+          let c = class_of t.meta.(i) in
+          acc.(c) <- frame_addr i :: acc.(c)
+        done;
+        t.sets <- Array.map Iset.of_list acc;
+        t.j_stale <- false
+      end
+      else if t.j_len > 0 then begin
+        let sets = Array.copy t.sets in
+        for k = 0 to t.j_len - 1 do
+          for i = t.j_lo.(k) to t.j_hi.(k) - 1 do
+            let a = frame_addr i and c = class_of t.meta.(i) in
+            for s = 0 to nclasses - 1 do
+              sets.(s) <- (if s = c then Iset.add a sets.(s) else Iset.remove a sets.(s))
+            done
+          done
+        done;
+        t.sets <- sets
+      end;
+      t.j_len <- 0;
+      t.sets)
 
-let free_pages_4k t =
-  collect t (fun m -> m.state = Free && m.size = S4k)
-
-let free_pages_2m t =
-  collect t (fun m -> m.state = Free && m.size = S2m)
-
-let free_pages_1g t =
-  collect t (fun m -> m.state = Free && m.size = S1g)
-
-let allocated_pages t = collect t (fun m -> m.state = Allocated)
-
-let mapped_pages t =
-  collect t (fun m -> match m.state with Mapped _ -> true | _ -> false)
-
-let merged_pages t =
-  collect t (fun m -> match m.state with Merged _ -> true | _ -> false)
+let free_pages_4k t = (current t).(0)
+let free_pages_2m t = (current t).(1)
+let free_pages_1g t = (current t).(2)
+let allocated_pages t = (current t).(3)
+let mapped_pages t = (current t).(4)
+let merged_pages t = (current t).(5)
 
 let frames_of_block t ~addr =
   let i, m = head_meta t ~addr "frames_of_block" in
@@ -375,24 +439,54 @@ let wf t =
   let* () = Dll.wf t.free2m in
   let* () = Dll.wf t.free1g in
   let check_list list size =
-    List.fold_left
-      (fun acc i ->
-        match acc with
-        | Error _ -> acc
+    let result = ref (Ok ()) in
+    Dll.iter list (fun i ->
+        match !result with
+        | Error _ -> ()
         | Ok () ->
           let m = t.meta.(i) in
           if m.state <> Free then
-            err "frame %d on %s list but state %a" i (Dll.name list) pp_state m.state
+            result := err "frame %d on %s list but state %a" i (Dll.name list) pp_state m.state
           else if not (equal_size m.size size) then
-            err "frame %d on %s list but size %a" i (Dll.name list) pp_size m.size
+            result := err "frame %d on %s list but size %a" i (Dll.name list) pp_size m.size
           else if i mod frames_per size <> 0 then
-            err "frame %d on %s list misaligned" i (Dll.name list)
-          else Ok ())
-      (Ok ()) (Dll.to_list list)
+            result := err "frame %d on %s list misaligned" i (Dll.name list));
+    !result
   in
   let* () = check_list t.free4k S4k in
   let* () = check_list t.free2m S2m in
   let* () = check_list t.free1g S1g in
+  (* The cached frame-state sets agree with the metadata: every element
+     is a managed frame of its set's class, and the sizes add up to the
+     managed frames, so the six sets partition them exactly.  A mutation
+     the journal missed leaves a stale element or a wrong count. *)
+  let* () =
+    let sets = current t in
+    let total = ref 0 and bad = ref None in
+    Array.iteri
+      (fun c set ->
+        total := !total + Iset.cardinal set;
+        Iset.iter
+          (fun a ->
+            let i = frame_of_addr a in
+            if
+              Option.is_none !bad
+              && not (Phys_mem.is_page_aligned a && managed t i && class_of t.meta.(i) = c)
+            then bad := Some (c, a))
+          set)
+      sets;
+    match !bad with
+    | Some (c, a) ->
+      err "cached %s set holds 0x%x, which is %s" class_names.(c) a
+        (match state_of t ~addr:a with
+         | Some st -> Format.asprintf "%a" pp_state st
+         | None -> "unmanaged")
+    | None ->
+      if !total <> managed_frames t then
+        err "cached frame-state sets hold %d frames but %d are managed" !total
+          (managed_frames t)
+      else Ok ()
+  in
   let result = ref (Ok ()) in
   let fail fmt = Format.kasprintf (fun s -> if !result = Ok () then result := Error s) fmt in
   for i = t.first to t.nframes - 1 do

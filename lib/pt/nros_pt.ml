@@ -12,37 +12,40 @@ let size_at_level = function
   | 2 -> Some Page_state.S2m
   | _ -> None
 
+(* Left fold over the nonzero slots of a table page, in slot order.
+   Zero slots are not present, so no clause below can see them; this is
+   the page-granular scan the flat checker uses too, which keeps the
+   flat-vs-recursive ablation a comparison of formulations, not of
+   memory access. *)
+let fold_slots mem ~table f init =
+  let acc = ref init in
+  Phys_mem.iter_nonzero_u64 mem ~page:table (fun i e -> acc := f i e !acc);
+  !acc
+
 (* Recursive interpretation of the subtree rooted at [table] (a table
    page of [level]) covering the virtual range starting at [vbase].
    This is the hierarchical definition: a node's interpretation is the
    union of its children's, derived afresh on every call. *)
 let rec interp_node mem ~table ~level ~vbase =
   let shift = 12 + (9 * (level - 1)) in
-  let rec slots i acc =
-    if i > 511 then acc
-    else
-      let e = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index:i) in
+  fold_slots mem ~table
+    (fun i e acc ->
       let vslot =
         if level = 4 && i land 0x100 <> 0 then
           vbase lor (i lsl shift) lor (-1 lsl 48)
         else vbase lor (i lsl shift)
       in
-      let acc =
-        if not (Pte.is_present e) then acc
-        else if level = 1 then
-          (vslot, Page_table.{ frame = Pte.addr_of e; size = Page_state.S4k; perm = Pte.perm_of e })
-          :: acc
-        else if Pte.is_huge e then
-          match size_at_level level with
-          | Some size ->
-            (vslot, Page_table.{ frame = Pte.addr_of e; size; perm = Pte.perm_of e }) :: acc
-          | None -> acc (* malformed huge bit; caught by [structure] *)
-        else
-          interp_node mem ~table:(Pte.addr_of e) ~level:(level - 1) ~vbase:vslot @ acc
-      in
-      slots (i + 1) acc
-  in
-  slots 0 []
+      if not (Pte.is_present e) then acc
+      else if level = 1 then
+        (vslot, Page_table.{ frame = Pte.addr_of e; size = Page_state.S4k; perm = Pte.perm_of e })
+        :: acc
+      else if Pte.is_huge e then
+        match size_at_level level with
+        | Some size ->
+          (vslot, Page_table.{ frame = Pte.addr_of e; size; perm = Pte.perm_of e }) :: acc
+        | None -> acc (* malformed huge bit; caught by [structure] *)
+      else interp_node mem ~table:(Pte.addr_of e) ~level:(level - 1) ~vbase:vslot @ acc)
+    []
 
 let interp pt =
   interp_node (Page_table.mem pt) ~table:(Page_table.cr3 pt) ~level:4 ~vbase:0
@@ -50,18 +53,12 @@ let interp pt =
 (* Frames used by the subtree itself (its table pages), recomputed
    recursively — the hierarchical analogue of page_closure. *)
 let rec closure_node mem ~table ~level =
-  let rec slots i acc =
-    if i > 511 then acc
-    else
-      let e = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index:i) in
-      let acc =
-        if Pte.is_present e && (not (Pte.is_huge e)) && level > 1 then
-          Iset.union acc (closure_node mem ~table:(Pte.addr_of e) ~level:(level - 1))
-        else acc
-      in
-      slots (i + 1) acc
-  in
-  slots 0 (Iset.singleton table)
+  fold_slots mem ~table
+    (fun _ e acc ->
+      if Pte.is_present e && (not (Pte.is_huge e)) && level > 1 then
+        Iset.union acc (closure_node mem ~table:(Pte.addr_of e) ~level:(level - 1))
+      else acc)
+    (Iset.singleton table)
 
 (* Hierarchical refinement, as the recursive-ownership proof structures
    it: every node's interpretation must equal the union of its
@@ -74,35 +71,29 @@ let rec closure_node mem ~table ~level =
 let rec verify_node mem ~table ~level ~vbase =
   let shift = 12 + (9 * (level - 1)) in
   let* () =
-    let rec slots i acc =
-      let* () = acc in
-      if i > 511 then Ok ()
-      else
-        let e = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index:i) in
-        let next =
-          if (not (Pte.is_present e)) || Pte.is_huge e || level = 1 then Ok ()
-          else begin
-            let lo =
-              if level = 4 && i land 0x100 <> 0 then
-                vbase lor (i lsl shift) lor (-1 lsl 48)
-              else vbase lor (i lsl shift)
-            in
-            let child = Pte.addr_of e in
-            let* () = verify_node mem ~table:child ~level:(level - 1) ~vbase:lo in
-            (* re-derive the child's interpretation for the range check *)
-            let hi = lo + (1 lsl shift) in
-            List.fold_left
-              (fun acc (va, _) ->
-                let* () = acc in
-                if (va >= lo && va < hi) || level = 4 then Ok ()
-                else err "nros: child of L%d[%d] interprets 0x%x outside its range" level i va)
-              (Ok ())
-              (interp_node mem ~table:child ~level:(level - 1) ~vbase:lo)
-          end
-        in
-        slots (i + 1) next
-    in
-    slots 0 (Ok ())
+    fold_slots mem ~table
+      (fun i e acc ->
+        let* () = acc in
+        if (not (Pte.is_present e)) || Pte.is_huge e || level = 1 then Ok ()
+        else begin
+          let lo =
+            if level = 4 && i land 0x100 <> 0 then
+              vbase lor (i lsl shift) lor (-1 lsl 48)
+            else vbase lor (i lsl shift)
+          in
+          let child = Pte.addr_of e in
+          let* () = verify_node mem ~table:child ~level:(level - 1) ~vbase:lo in
+          (* re-derive the child's interpretation for the range check *)
+          let hi = lo + (1 lsl shift) in
+          List.fold_left
+            (fun acc (va, _) ->
+              let* () = acc in
+              if (va >= lo && va < hi) || level = 4 then Ok ()
+              else err "nros: child of L%d[%d] interprets 0x%x outside its range" level i va)
+            (Ok ())
+            (interp_node mem ~table:child ~level:(level - 1) ~vbase:lo)
+        end)
+      (Ok ())
   in
   (* the node's own interpretation must be internally duplicate-free
      (derived afresh: the third derivation of each subtree) *)
@@ -151,40 +142,39 @@ let refinement pt =
    closures (recomputed here) are pairwise disjoint and exclude this
    node. *)
 let rec node_wf mem ~table ~level =
-  let rec slots i acc closures =
-    if i > 511 then
-      let* () = acc in
-      if Iset.pairwise_disjoint closures then Ok ()
-      else err "nros structure: sibling subtrees of 0x%x share table pages" table
-    else
-      let e = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index:i) in
-      if not (Pte.is_present e) then slots (i + 1) acc closures
-      else if Pte.is_huge e then
-        let next =
-          let* () = acc in
-          match size_at_level level with
-          | Some size ->
-            if Pte.addr_of e mod Page_state.bytes_per size <> 0 then
-              err "nros structure: misaligned huge leaf at L%d[%d]" level i
+  let acc, closures =
+    fold_slots mem ~table
+      (fun i e (acc, closures) ->
+        if not (Pte.is_present e) then (acc, closures)
+        else if Pte.is_huge e then
+          let next =
+            let* () = acc in
+            match size_at_level level with
+            | Some size ->
+              if Pte.addr_of e mod Page_state.bytes_per size <> 0 then
+                err "nros structure: misaligned huge leaf at L%d[%d]" level i
+              else Ok ()
+            | None -> err "nros structure: huge bit at level %d" level
+          in
+          (next, closures)
+        else if level = 1 then (acc, closures)
+        else begin
+          let child = Pte.addr_of e in
+          let next =
+            let* () = acc in
+            let* () = node_wf mem ~table:child ~level:(level - 1) in
+            let sub = closure_node mem ~table:child ~level:(level - 1) in
+            if Iset.mem table sub then
+              err "nros structure: cycle through table 0x%x" table
             else Ok ()
-          | None -> err "nros structure: huge bit at level %d" level
-        in
-        slots (i + 1) next closures
-      else if level = 1 then slots (i + 1) acc closures
-      else begin
-        let child = Pte.addr_of e in
-        let next =
-          let* () = acc in
-          let* () = node_wf mem ~table:child ~level:(level - 1) in
-          let sub = closure_node mem ~table:child ~level:(level - 1) in
-          if Iset.mem table sub then
-            err "nros structure: cycle through table 0x%x" table
-          else Ok ()
-        in
-        slots (i + 1) next (closure_node mem ~table:child ~level:(level - 1) :: closures)
-      end
+          in
+          (next, closure_node mem ~table:child ~level:(level - 1) :: closures)
+        end)
+      (Ok (), [])
   in
-  slots 0 (Ok ()) []
+  let* () = acc in
+  if Iset.pairwise_disjoint closures then Ok ()
+  else err "nros structure: sibling subtrees of 0x%x share table pages" table
 
 let structure pt =
   node_wf (Page_table.mem pt) ~table:(Page_table.cr3 pt) ~level:4

@@ -87,50 +87,40 @@ let structure pt =
     | None -> err "structure: root not registered"
   in
   (* Count inbound references to each table page while validating every
-     present entry of every registered table. *)
+     present entry of every registered table.  Zero slots are not
+     present, so a page-granular scan of the nonzero ones sees them all. *)
   let inbound = Hashtbl.create 64 in
-  let* () =
-    List.fold_left
-      (fun acc (table, level) ->
-        let* () = acc in
-        let rec entries i acc =
-          let* () = acc in
-          if i > 511 then Ok ()
-          else
-            let e = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index:i) in
-            let next =
-              if not (Pte.is_present e) then Ok ()
-              else if Pte.is_huge e then
-                if level = 3 || level = 2 then
-                  let size =
-                    if level = 3 then Phys_mem.page_size_1g else Phys_mem.page_size_2m
-                  in
-                  if Pte.addr_of e mod size <> 0 then
-                    err "structure: huge leaf at L%d[%d] misaligned frame 0x%x" level i
-                      (Pte.addr_of e)
-                  else Ok ()
-                else err "structure: huge bit at level %d" level
-              else if level = 1 then Ok () (* L1 present entries are 4K leaves *)
-              else begin
-                let child = Pte.addr_of e in
-                match level_of ~addr:child with
-                | Some cl when cl = level - 1 ->
-                  Hashtbl.replace inbound child
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt inbound child));
-                  Ok ()
-                | Some cl ->
-                  err "structure: L%d[%d] points to table 0x%x of level %d" level i
-                    child cl
-                | None ->
-                  err "structure: L%d[%d] points to unregistered page 0x%x" level i
-                    child
-              end
-            in
-            entries (i + 1) next
-        in
-        entries 0 (Ok ()))
-      (Ok ()) registry
+  let result = ref (Ok ()) in
+  let fail fmt = Format.kasprintf (fun s -> result := Error s) fmt in
+  let check_entry level i e =
+    if Pte.is_present e then
+      if Pte.is_huge e then
+        if level = 3 || level = 2 then begin
+          let size = if level = 3 then Phys_mem.page_size_1g else Phys_mem.page_size_2m in
+          if Pte.addr_of e mod size <> 0 then
+            fail "structure: huge leaf at L%d[%d] misaligned frame 0x%x" level i
+              (Pte.addr_of e)
+        end
+        else fail "structure: huge bit at level %d" level
+      else if level > 1 then begin
+        (* L1 present entries are 4K leaves *)
+        let child = Pte.addr_of e in
+        match level_of ~addr:child with
+        | Some cl when cl = level - 1 ->
+          Hashtbl.replace inbound child
+            (1 + Option.value ~default:0 (Hashtbl.find_opt inbound child))
+        | Some cl ->
+          fail "structure: L%d[%d] points to table 0x%x of level %d" level i child cl
+        | None ->
+          fail "structure: L%d[%d] points to unregistered page 0x%x" level i child
+      end
   in
+  List.iter
+    (fun (table, level) ->
+      Phys_mem.iter_nonzero_u64 mem ~page:table (fun i e ->
+          match !result with Ok () -> check_entry level i e | Error _ -> ()))
+    registry;
+  let* () = !result in
   (* Exactly-one-parent: rules out sharing and cycles in one flat pass. *)
   List.fold_left
     (fun acc (table, _) ->

@@ -1,5 +1,9 @@
 include Set.Make (Int)
 
+(* Sets a step did not touch are physically shared between its pre- and
+   post-state, so the "unchanged" clauses compare them in O(1). *)
+let equal a b = a == b || equal a b
+
 let of_range ~lo ~hi =
   let rec go acc i = if i >= hi then acc else go (add i acc) (i + 1) in
   go empty lo

@@ -6,6 +6,9 @@
 
 include Set.S with type elt = int
 
+val equal : t -> t -> bool
+(** Set equality; O(1) when the two sets are physically the same value. *)
+
 val of_range : lo:int -> hi:int -> t
 (** Frames [lo], [lo+1], ..., [hi-1]. *)
 

@@ -29,16 +29,98 @@ let check_unique obls =
 
 let run_sequential obls = List.map Obligation.discharge obls
 
+(* Worker domains outlive a run.  Spawning and retiring domains on
+   every run leaves each retired domain's heap to be adopted later, and
+   the process heap grew with the number of runs; pool workers instead
+   block between runs.  [run_lock] serialises runs, so one run's jobs
+   never mix with another's. *)
+type pool = {
+  run_lock : Mutex.t;
+  lock : Mutex.t;
+  work : Condition.t;  (* jobs arrived *)
+  idle : Condition.t;  (* the last pending job finished *)
+  mutable jobs : (unit -> unit) list;
+  mutable pending : int;
+  mutable failure : exn option;  (* first exception a job raised *)
+  mutable workers : int;
+}
+
+let pool =
+  {
+    run_lock = Mutex.create ();
+    lock = Mutex.create ();
+    work = Condition.create ();
+    idle = Condition.create ();
+    jobs = [];
+    pending = 0;
+    failure = None;
+    workers = 0;
+  }
+
+let rec serve () =
+  let job =
+    Mutex.protect pool.lock (fun () ->
+        let rec next () =
+          match pool.jobs with
+          | [] ->
+            Condition.wait pool.work pool.lock;
+            next ()
+          | job :: rest ->
+            pool.jobs <- rest;
+            job
+        in
+        next ())
+  in
+  let failure = match job () with () -> None | exception e -> Some e in
+  Mutex.protect pool.lock (fun () ->
+      if Option.is_none pool.failure then pool.failure <- failure;
+      pool.pending <- pool.pending - 1;
+      if pool.pending = 0 then Condition.broadcast pool.idle);
+  serve ()
+
+(* Run [jobs] on pool workers while [main] runs on the calling domain;
+   return once all have finished, re-raising a worker's exception. *)
+let on_pool jobs main =
+  Mutex.protect pool.run_lock (fun () ->
+      Mutex.protect pool.lock (fun () ->
+          while pool.workers < List.length jobs do
+            ignore (Domain.spawn serve);
+            pool.workers <- pool.workers + 1
+          done;
+          pool.jobs <- jobs;
+          pool.pending <- List.length jobs;
+          pool.failure <- None;
+          Condition.broadcast pool.work);
+      let outcome = match main () with () -> None | exception e -> Some e in
+      let failure =
+        Mutex.protect pool.lock (fun () ->
+            while pool.pending > 0 do
+              Condition.wait pool.idle pool.lock
+            done;
+            pool.failure)
+      in
+      match (outcome, failure) with
+      | Some e, _ | None, Some e -> raise e
+      | None, None -> ())
+
 (* Static round-robin partition over domains: obligations are
    independent, so any split is sound; round-robin balances the heavy
-   kernel-wide checks across domains. *)
+   kernel-wide checks across domains.  Each job writes its verdicts
+   into their suite positions (distinct slots, published under the pool
+   lock), so the result is in suite order whatever the domain count. *)
 let run_parallel ~threads obls =
-  let buckets = Array.make threads [] in
-  List.iteri (fun i o -> buckets.(i mod threads) <- o :: buckets.(i mod threads)) obls;
-  let domains =
-    Array.map (fun bucket -> Domain.spawn (fun () -> run_sequential (List.rev bucket))) buckets
+  let obls = Array.of_list obls in
+  let n = Array.length obls in
+  let results = Array.make n None in
+  let worker d () =
+    let i = ref d in
+    while !i < n do
+      results.(!i) <- Some (Obligation.discharge obls.(!i));
+      i := !i + threads
+    done
   in
-  Array.to_list domains |> List.concat_map Domain.join
+  on_pool (List.init (threads - 1) (fun d -> worker (d + 1))) (worker 0);
+  Array.to_list results |> List.map Option.get
 
 (* An obligation may be skipped only when it is annotated, has a cached
    verdict, and none of its declared reads is dirty.  Unannotated

@@ -26,7 +26,10 @@ type incremental = {
 
 val run : ?threads:int -> ?incremental:incremental -> Obligation.t list -> report
 (** [threads] defaults to 1.  With [threads > 1] obligations are
-    distributed over that many domains.  Arms
+    distributed over that many domains: the calling domain and
+    [threads - 1] pool workers, spawned on first need and kept blocked
+    between runs.  The report is in suite order at any [threads].
+    Runs issued from several domains at once are serialised.  Arms
     [Printexc.record_backtrace] so a raising obligation reports where
     it failed.  Raises [Invalid_argument] if two obligations share a
     name — duplicates would shadow each other in grouped reports and

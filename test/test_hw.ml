@@ -54,6 +54,106 @@ let test_mem_geometry () =
   checkb "aligned" true (Phys_mem.is_page_aligned 8192);
   checkb "unaligned" false (Phys_mem.is_page_aligned 8193)
 
+(* The slots [iter_nonzero_u64] yields, and the nonzero ones a
+   slot-by-slot [read_u64] sees, as (slot, value) lists. *)
+let scanned m ~page =
+  let acc = ref [] in
+  Phys_mem.iter_nonzero_u64 m ~page (fun i v -> acc := (i, v) :: !acc);
+  List.rev !acc
+
+let per_slot m ~page =
+  List.filter_map
+    (fun i ->
+      let v = Phys_mem.read_u64 m ~addr:(page + (i * 8)) in
+      if v = 0L then None else Some (i, v))
+    (List.init 512 Fun.id)
+
+let test_mem_iter_nonzero () =
+  let m = Phys_mem.create ~page_count:16 in
+  let rng = Random.State.make [| 42 |] in
+  (* pages 0..11 get random stores, some of them zero; 15 is never touched *)
+  for _ = 1 to 2000 do
+    let page = Random.State.int rng 12 * 4096 and slot = Random.State.int rng 512 in
+    let v = if Random.State.int rng 4 = 0 then 0L else Random.State.int64 rng Int64.max_int in
+    Phys_mem.write_u64 m ~addr:(page + (slot * 8)) (if Random.State.bool rng then Int64.neg v else v)
+  done;
+  for p = 0 to 15 do
+    let page = p * 4096 in
+    check
+      Alcotest.(list (pair int int64))
+      (Printf.sprintf "page %d: nonzero slots match per-slot reads" p)
+      (per_slot m ~page) (scanned m ~page)
+  done;
+  check Alcotest.(list (pair int int64)) "untouched frame yields nothing" []
+    (scanned m ~page:(15 * 4096));
+  check Alcotest.int "scanning materialises nothing" 12 (Phys_mem.touched_frames m);
+  Alcotest.check_raises "unaligned page rejected"
+    (Invalid_argument "Phys_mem.iter_nonzero_u64: unaligned")
+    (fun () -> Phys_mem.iter_nonzero_u64 m ~page:8 (fun _ _ -> ()));
+  Alcotest.check_raises "page out of bounds rejected"
+    (Invalid_argument "Phys_mem.iter_nonzero_u64: address 0x10000 out of bounds")
+    (fun () -> Phys_mem.iter_nonzero_u64 m ~page:(16 * 4096) (fun _ _ -> ()))
+
+let test_mem_iter_nonzero_hook () =
+  let m = Phys_mem.create ~page_count:4 in
+  Phys_mem.write_u64 m ~addr:8 7L;
+  Phys_mem.write_u64 m ~addr:(4096 + 4088) 9L;
+  let calls = ref [] in
+  Phys_mem.set_access_hook (Some (fun _ op addr len -> calls := (op, addr, len) :: !calls));
+  Fun.protect
+    ~finally:(fun () -> Phys_mem.set_access_hook None)
+    (fun () ->
+      List.iter
+        (fun page -> Phys_mem.iter_nonzero_u64 m ~page (fun _ _ -> ()))
+        [ 0; 4096; 3 * 4096 ]);
+  checkb "one whole-page Read per page, in order" true
+    (List.rev !calls
+     = [ (Phys_mem.Read, 0, 4096); (Phys_mem.Read, 4096, 4096); (Phys_mem.Read, 3 * 4096, 4096) ])
+
+(* The leaves of a table walk that reads every slot with [read_u64], in
+   the order the page-granular [Page_table.walk_concrete] must match. *)
+let walk_per_slot pt =
+  let module Pt = Atmo_pt.Page_table in
+  let module Ps = Atmo_pmem.Page_state in
+  let mem = Pt.mem pt in
+  let acc = ref [] in
+  let read table index = Phys_mem.read_u64 mem ~addr:(Mmu.entry_addr ~table ~index) in
+  let emit va e size =
+    acc :=
+      (va, { Pt.frame = Pte_bits.addr_of e; size; perm = Pte_bits.perm_of e }) :: !acc
+  in
+  let slots table f =
+    for i = 0 to 511 do
+      let e = read table i in
+      if Pte_bits.is_present e then f i e
+    done
+  in
+  slots (Pt.cr3 pt) (fun i4 e4 ->
+      slots (Pte_bits.addr_of e4) (fun i3 e3 ->
+          if Pte_bits.is_huge e3 then
+            emit (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:0 ~l1:0) e3 Ps.S1g
+          else
+            slots (Pte_bits.addr_of e3) (fun i2 e2 ->
+                if Pte_bits.is_huge e2 then
+                  emit (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:i2 ~l1:0) e2 Ps.S2m
+                else
+                  slots (Pte_bits.addr_of e2) (fun i1 e1 ->
+                      emit (Mmu.va_of_indices ~l4:i4 ~l3:i3 ~l2:i2 ~l1:i1) e1 Ps.S4k))));
+  !acc
+
+let test_walk_concrete_matches_per_slot () =
+  let module Pt = Atmo_pt.Page_table in
+  let pt = Atmo_verif.Catalog.build_pt ~mappings:512 in
+  let want = walk_per_slot pt and got = Pt.walk_concrete pt in
+  check Alcotest.int "leaf count" (List.length want) (List.length got);
+  checkb "every 4K mapping and the 2M mapping present" true (List.length got = 513);
+  List.iteri
+    (fun i ((va, e), (va', e')) ->
+      if va <> va' || not (Pt.equal_entry e e') then
+        Alcotest.failf "leaf %d: 0x%x %a (per-slot) vs 0x%x %a (page scan)" i va
+          Pt.pp_entry e va' Pt.pp_entry e')
+    (List.combine want got)
+
 (* ------------------------------------------------------------------ *)
 (* Pte_bits                                                            *)
 
@@ -340,6 +440,12 @@ let () =
           Alcotest.test_case "bounds and alignment" `Quick test_mem_bounds;
           Alcotest.test_case "blit across frames" `Quick test_mem_blit_cross_frame;
           Alcotest.test_case "geometry helpers" `Quick test_mem_geometry;
+          Alcotest.test_case "iter_nonzero_u64 matches per-slot reads" `Quick
+            test_mem_iter_nonzero;
+          Alcotest.test_case "iter_nonzero_u64 hooks once per page" `Quick
+            test_mem_iter_nonzero_hook;
+          Alcotest.test_case "walk_concrete matches a per-slot walk" `Quick
+            test_walk_concrete_matches_per_slot;
         ] );
       ( "pte",
         [

@@ -54,6 +54,32 @@ let test_dll_empty () =
   Alcotest.(check (option int)) "pop empty" None (Dll.pop_front l);
   expect_wf "dll" (Dll.wf l)
 
+(* Each kind of damage [wf] exists to catch, on a list 0 <-> 1 <-> 2 <-> 3. *)
+let test_dll_wf_rejects_corruption () =
+  let cases =
+    [
+      ("broken prev link", [ Dll.Set_prev (2, 0) ]);
+      ("next cycle", [ Dll.Set_next (3, 1) ]);
+      ("cycle back to the head", [ Dll.Set_next (3, 0) ]);
+      ("linked id not a member", [ Dll.Set_member (2, false) ]);
+      ("member flag on an unlinked id", [ Dll.Set_member (5, true) ]);
+      ("stale length", [ Dll.Set_length 3 ]);
+      ("stale length and flags agree, links do not", [ Dll.Set_length 5; Dll.Set_member (5, true) ]);
+      ("last not the end of the walk", [ Dll.Set_next (2, -1) ]);
+      ("link out of range", [ Dll.Set_next (1, 99) ]);
+    ]
+  in
+  List.iter
+    (fun (what, damage) ->
+      let l = Dll.create ~capacity:8 ~name:"t" in
+      List.iter (Dll.push_back l) [ 0; 1; 2; 3 ];
+      expect_wf "before corruption" (Dll.wf l);
+      List.iter (Dll.corrupt l) damage;
+      match Dll.wf l with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "Dll.wf accepted: %s" what)
+    cases
+
 let prop_dll_random_ops =
   (* random pushes/removes keep the structure well-formed and matching a
      model list *)
@@ -248,6 +274,151 @@ let test_spec_views_partition () =
   checki "cover all frames" 1024 (Iset.cardinal (Iset.union_list sets));
   expect_wf "alloc" (Page_alloc.wf a)
 
+(* ------------------------------------------------------------------ *)
+(* Journaled frame-state sets                                          *)
+
+let set_names = [| "free4k"; "free2m"; "free1g"; "allocated"; "mapped"; "merged" |]
+
+let views a =
+  [|
+    Page_alloc.free_pages_4k a;
+    Page_alloc.free_pages_2m a;
+    Page_alloc.free_pages_1g a;
+    Page_alloc.allocated_pages a;
+    Page_alloc.mapped_pages a;
+    Page_alloc.merged_pages a;
+  |]
+
+(* The six views recomputed from per-frame metadata alone. *)
+let rescan a =
+  let nframes = Phys_mem.page_count (Page_alloc.mem a) in
+  let acc = Array.make 6 [] in
+  for i = nframes - 1 downto nframes - Page_alloc.managed_frames a do
+    let addr = Phys_mem.addr_of_index i in
+    let c =
+      match (Page_alloc.state_of a ~addr, Page_alloc.size_of a ~addr) with
+      | Some Page_state.Free, Some Page_state.S4k -> 0
+      | Some Page_state.Free, Some Page_state.S2m -> 1
+      | Some Page_state.Free, Some Page_state.S1g -> 2
+      | Some Page_state.Allocated, _ -> 3
+      | Some (Page_state.Mapped _), _ -> 4
+      | Some (Page_state.Merged _), _ -> 5
+      | _ -> Alcotest.failf "frame %d has no state class" i
+    in
+    acc.(c) <- addr :: acc.(c)
+  done;
+  Array.map Iset.of_list acc
+
+(* A seeded burst of allocator traffic, querying the cached sets at
+   random gaps of 1..[max_gap] operations.  Gaps longer than the
+   64-range journal force the overflow rebuild; the traffic mixes
+   on-demand merges (alloc_2m, alloc_1g and both try_merge calls) with
+   splits (4K or 2M allocations served from a larger free block). *)
+let journaled_burst ~frames ~ops ~max_gap ~seed =
+  let _, a = mk_alloc ~frames () in
+  let rng = Random.State.make [| seed |] in
+  let live = ref [] in
+  let merges = ref 0 and splits = ref 0 in
+  let journaled = ref 0 and longest = ref 0 in
+  let query what =
+    let got = views a and want = rescan a in
+    Array.iteri
+      (fun c name ->
+        if not (Iset.equal got.(c) want.(c)) then
+          Alcotest.failf "%s: cached %s set differs from a rescan" what name)
+      set_names;
+    expect_wf what (Page_alloc.wf a);
+    longest := max !longest !journaled;
+    journaled := 0
+  in
+  let purpose () = if Random.State.bool rng then Page_alloc.Kernel else Page_alloc.User in
+  let claimed p = function
+    | Some addr ->
+      incr journaled;
+      live := (addr, p) :: !live
+    | None -> ()
+  in
+  let release (addr, p) =
+    match p with
+    | Page_alloc.Kernel ->
+      Page_alloc.free_kernel_page a ~addr;
+      incr journaled;
+      true
+    | Page_alloc.User ->
+      (match Page_alloc.dec_ref a ~addr with
+       | `Freed ->
+         incr journaled;
+         true
+       | `Live -> false)
+  in
+  let free_random () =
+    match !live with
+    | [] -> ()
+    | l ->
+      let victim = List.nth l (Random.State.int rng (List.length l)) in
+      if release victim then live := List.filter (fun b -> b != victim) !live
+  in
+  query "first query";
+  let gap = ref 1 in
+  for n = 1 to ops do
+    let free4k = Page_alloc.free_count_4k a
+    and free2m = Page_alloc.free_count_2m a
+    and free1g = Page_alloc.free_count_1g a in
+    (match if n = 1 then 9 else Random.State.int rng 20 with
+     | 0 | 1 | 2 | 3 | 4 | 5 | 6 ->
+       let p = purpose () in
+       let got = Page_alloc.alloc_4k a ~purpose:p in
+       if got <> None && free4k = 0 then incr splits;
+       claimed p got
+     | 7 | 8 ->
+       let p = purpose () in
+       let got = Page_alloc.alloc_2m a ~purpose:p in
+       if got <> None && free2m = 0 then if free1g > 0 then incr splits else incr merges;
+       claimed p got
+     | 9 ->
+       let p = purpose () in
+       let got = Page_alloc.alloc_1g a ~purpose:p in
+       if got <> None && free1g = 0 then incr merges;
+       claimed p got
+     | 10 | 11 | 12 | 13 | 14 | 15 -> free_random ()
+     | 16 ->
+       (match List.filter (fun (_, p) -> p = Page_alloc.User) !live with
+        | [] -> ()
+        | (addr, _) :: _ -> Page_alloc.inc_ref a ~addr)
+     | 17 -> if Page_alloc.try_merge_2m a then incr merges
+     | 18 -> if Page_alloc.try_merge_1g a then incr merges
+     | _ ->
+       (* drop every block whose last reference goes, so whole aligned
+          groups come free and later requests merge them *)
+       live := List.filter (fun b -> not (release b)) !live);
+    decr gap;
+    if !gap = 0 then begin
+      query (Printf.sprintf "query after op %d" n);
+      gap := 1 + Random.State.int rng max_gap
+    end
+  done;
+  query "final query";
+  (!merges, !splits, !longest)
+
+let test_journaled_sets_small () =
+  let merges, splits, longest =
+    journaled_burst ~frames:4096 ~ops:3000 ~max_gap:150 ~seed:12
+  in
+  checkb "burst merged superpages" true (merges > 0);
+  checkb "burst split superpages" true (splits > 0);
+  checkb "a stretch overflowed the journal" true (longest > 64)
+
+let test_journaled_sets_1g () =
+  (* One aligned 1 GiB region: the first operation promotes it, which
+     journals 512 absorbs and a 1G-wide range; frees and 4K requests
+     later split it back down through 2M. *)
+  let merges, splits, longest =
+    journaled_burst ~frames:((512 * 512) + 1024) ~ops:150 ~max_gap:150 ~seed:2
+  in
+  checkb "1g burst merged superpages" true (merges > 0);
+  checkb "1g burst split superpages" true (splits > 0);
+  checkb "a stretch overflowed the journal" true (longest > 64)
+
 let prop_alloc_random_traffic =
   QCheck.Test.make ~name:"allocator wf under random alloc/free traffic" ~count:60
     QCheck.(list (int_bound 9))
@@ -316,6 +487,7 @@ let () =
           Alcotest.test_case "O(1) middle removal" `Quick test_dll_o1_remove_middle;
           Alcotest.test_case "misuse raises" `Quick test_dll_misuse_raises;
           Alcotest.test_case "empty" `Quick test_dll_empty;
+          Alcotest.test_case "wf rejects corruption" `Quick test_dll_wf_rejects_corruption;
         ] );
       ( "page_alloc",
         [
@@ -328,6 +500,9 @@ let () =
           Alcotest.test_case "split 2m for 4k" `Quick test_split_2m_for_4k;
           Alcotest.test_case "merge skips holed groups" `Quick test_merge_respects_alignment_holes;
           Alcotest.test_case "merge/split 1g" `Quick test_merge_split_1g;
+          Alcotest.test_case "journaled sets match a rescan" `Quick test_journaled_sets_small;
+          Alcotest.test_case "journaled sets across 1g merge/split" `Quick
+            test_journaled_sets_1g;
           Alcotest.test_case "reserved frames unmanaged" `Quick test_reserved_frames_unmanaged;
           Alcotest.test_case "spec views partition" `Quick test_spec_views_partition;
         ] );
