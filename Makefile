@@ -96,8 +96,10 @@ bench-all:
 # reconstruction over the kv-store demo, the trace CLI's per-kind
 # --filter and --sample admission paths, the SLO monitor (a compliant
 # run must exit 0; the stalled-cpu plant must be caught by exactly
-# watchdog-silent), and the obs + span + device + verif + smp + slo
-# benches + regression report (bit-identity and performance floors,
+# watchdog-silent), and the obs + span + device + verif + smp + slo +
+# san benches + regression report (bit-identity and performance floors,
+# the sanitizer's armed-vs-unarmed cycle identity re-measured rather
+# than read from a committed BENCH_san.json,
 # including the <= 100% traced kv overhead with zero drops and exact
 # accounting, the >= 5x incremental speedup, the >= 2.5x fine-grained
 # 8-CPU scaling and the <= 15-point monitor-over-flight delta with
@@ -133,6 +135,7 @@ check:
 	&& dune exec bench/main.exe -- verif \
 	&& dune exec bench/main.exe -- smp \
 	&& dune exec bench/main.exe -- slo \
+	&& dune exec bench/main.exe -- san \
 	&& dune exec bench/main.exe -- report
 
 trace:

@@ -24,6 +24,16 @@ let cost = Cost.default
 let line fmt = Format.printf (fmt ^^ "@.")
 let section title = line "@.== %s ==@." title
 
+(* Host seconds for [reps] runs of [f] on bechamel's monotonic clock,
+   and the last run's result. *)
+let time_reps ~reps f =
+  let t0 = Monotonic_clock.now () in
+  let last = ref (f ()) in
+  for _ = 2 to reps do
+    last := f ()
+  done;
+  (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9, !last)
+
 (* Machine-readable result files: every bench with an acceptance floor
    writes BENCH_<name>.json; [report] merges them into
    BENCH_summary.json and enforces the floors. *)
@@ -556,14 +566,6 @@ let obs () =
   let module Kv = Atmo_workloads.Kv_demo in
   let requests = 200 in
   let reps = 10 in
-  let time_reps () =
-    let t0 = Unix.gettimeofday () in
-    let last = ref None in
-    for _ = 1 to reps do
-      last := Some (Kv.run ~requests ())
-    done;
-    (Unix.gettimeofday () -. t0, Option.get !last)
-  in
   (* calibration: one traced run into a throwaway ring; the exact
      per-kind emit counters give the full-run event rate, from which the
      measured ring is sized so all [reps] runs fit with zero drops even
@@ -587,14 +589,14 @@ let obs () =
     !slots reps;
   Atmo_obs.Metrics.reset ();
   Atmo_obs.Span.reset ();
-  let off_s, off = time_reps () in
+  let off_s, off = time_reps ~reps (fun () -> Kv.run ~requests ()) in
   Atmo_obs.Metrics.reset ();
   Atmo_obs.Span.reset ();
   let recorder =
     Atmo_obs.Flight.create ~cpus:2 ~slots:!slots ~slot_size:Atmo_obs.Event.slot_bytes
   in
   Atmo_obs.Sink.install (Atmo_obs.Sink.Flight recorder);
-  let on_s, on = time_reps () in
+  let on_s, on = time_reps ~reps (fun () -> Kv.run ~requests ()) in
   let records = Atmo_obs.Sink.records () in
   let dropped = Atmo_obs.Sink.dropped () in
   let emitted_total = ref 0 in
@@ -675,18 +677,10 @@ let san () =
        | Error _ -> None)
   in
   let reps = 30 in
-  let time_reps () =
-    let t0 = Unix.gettimeofday () in
-    let cycles = ref None in
-    for _ = 1 to reps do
-      cycles := workload ()
-    done;
-    (Unix.gettimeofday () -. t0, !cycles)
-  in
   Atmo_san.Runtime.disarm ();
-  let off_s, off_cycles = time_reps () in
+  let off_s, off_cycles = time_reps ~reps workload in
   Atmo_san.Runtime.arm ();
-  let on_s, on_cycles = time_reps () in
+  let on_s, on_cycles = time_reps ~reps workload in
   let checked = Atmo_san.Memsan.checked () in
   let violations = Atmo_san.Report.count () in
   Atmo_san.Runtime.disarm ();
@@ -810,21 +804,13 @@ let tlb () =
        | Error _ -> None)
   in
   let reps = 30 in
-  let time_reps () =
-    let t0 = Unix.gettimeofday () in
-    let cycles = ref None in
-    for _ = 1 to reps do
-      cycles := workload ()
-    done;
-    (Unix.gettimeofday () -. t0, !cycles)
-  in
   Tlb.set_enabled false;
   let w0 = Mmu.walk_steps () in
-  let off_s, off_cycles = time_reps () in
+  let off_s, off_cycles = time_reps ~reps workload in
   let off_loads = Mmu.walk_steps () - w0 in
   Tlb.set_enabled true;
   let w1 = Mmu.walk_steps () in
-  let on_s, on_cycles = time_reps () in
+  let on_s, on_cycles = time_reps ~reps workload in
   let on_loads = Mmu.walk_steps () - w1 in
   line "IPC round-trip with per-round user translations (%d runs):" reps;
   line "  TLB off: %8.2f ms  %9d page-table loads" (off_s *. 1000.) off_loads;
@@ -1100,24 +1086,16 @@ let span () =
   let module Kv = Atmo_workloads.Kv_demo in
   let requests = 200 in
   let reps = 10 in
-  let time_reps () =
-    let t0 = Unix.gettimeofday () in
-    let last = ref None in
-    for _ = 1 to reps do
-      last := Some (Kv.run ~requests ())
-    done;
-    (Unix.gettimeofday () -. t0, Option.get !last)
-  in
   Atmo_obs.Sink.install Atmo_obs.Sink.Disabled;
   Atmo_obs.Span.reset ();
-  let off_s, off = time_reps () in
+  let off_s, off = time_reps ~reps (fun () -> Kv.run ~requests ()) in
   Atmo_obs.Metrics.reset ();
   Atmo_obs.Span.reset ();
   let recorder =
     Atmo_obs.Flight.create ~cpus:2 ~slots:8192 ~slot_size:Atmo_obs.Event.slot_bytes
   in
   Atmo_obs.Sink.install (Atmo_obs.Sink.Flight recorder);
-  let on_s, on = time_reps () in
+  let on_s, on = time_reps ~reps (fun () -> Kv.run ~requests ()) in
   let records = Atmo_obs.Sink.records () in
   Atmo_obs.Sink.install Atmo_obs.Sink.Disabled;
   Atmo_obs.Sink.set_clock (fun () -> 0);
@@ -1212,21 +1190,13 @@ let slo () =
      between trials so drift that penalises whichever pass runs
      second cannot bias every pair the same way. *)
   let trials = 9 in
-  let time_pass f =
-    let t0 = Unix.gettimeofday () in
-    let last = ref None in
-    for _ = 1 to reps do
-      last := Some (f ())
-    done;
-    (Unix.gettimeofday () -. t0, Option.get !last)
-  in
   (* 1. disabled sink: the cycle-model baseline *)
   O.Sink.install O.Sink.Disabled;
   O.Metrics.reset ();
   O.Span.reset ();
   let off_s = ref infinity and off = ref None in
   for _ = 1 to trials do
-    let s, r = time_pass (fun () -> Kv.run ~requests ()) in
+    let s, r = time_reps ~reps (fun () -> Kv.run ~requests ()) in
     off_s := Float.min !off_s s;
     off := Some r
   done;
@@ -1246,12 +1216,12 @@ let slo () =
     let rec2 = O.Flight.create ~cpus:2 ~slots:65536 ~slot_size:O.Event.slot_bytes in
     let flight_pass () =
       O.Sink.install (O.Sink.Flight rec1);
-      time_pass (fun () -> Kv.run ~requests ())
+      time_reps ~reps (fun () -> Kv.run ~requests ())
     in
     let monitor_pass () =
       O.Sink.install (O.Sink.Flight rec2);
       let sr =
-        time_pass (fun () ->
+        time_reps ~reps (fun () ->
             let m = O.Monitor.arm ~windows:64 ~window_cycles ~now:0 ~specs:[ spec ] () in
             let r = Kv.run ~requests () in
             O.Monitor.finish m ~now:r.Kv.end_cycles;

@@ -71,28 +71,14 @@ let boot params =
   ignore (Proc_mgr.dequeue_next pm);
   Ok (t, init_thread)
 
-(* Device-table mutation observer for the incremental verifier: fires
-   whenever [t.devices] or the per-endpoint IRQ backlog cache changes
-   (the adjacent IOMMU attach/detach and io_pt teardown are covered by
-   the page-table layer's own hook).  Keyed registry + always-on
-   intrinsic counter, same discipline as Perm_map/Page_alloc. *)
-let dev_hook_armed = ref false
-let dev_hooks : (string * (op:string -> unit)) list ref = ref []
-
-let add_device_hook ~key f =
-  dev_hooks := (key, f) :: List.remove_assoc key !dev_hooks;
-  dev_hook_armed := true
-
-let remove_device_hook ~key =
-  dev_hooks := List.remove_assoc key !dev_hooks;
-  dev_hook_armed := !dev_hooks <> []
-
-let dev_muts = Atomic.make 0
-let device_mutation_count () = Atomic.get dev_muts
+(* Device-table mutations for the dirty tracker: [t.devices] or the
+   per-endpoint IRQ backlog cache changed (the adjacent IOMMU
+   attach/detach and io_pt teardown are Page_table mutations). *)
+let device_mutations : (op:string -> unit) Hook.t = Hook.create ()
 
 let note_dev ~op =
-  Atomic.incr dev_muts;
-  if !dev_hook_armed then List.iter (fun (_, f) -> f ~op) !dev_hooks
+  Hook.note device_mutations;
+  if device_mutations.armed then List.iter (fun (_, f) -> f ~op) device_mutations.subs
 
 (* Endpoint-freeing paths must clear stale interrupt routes; the sweep
    itself is defined with the interrupt machinery below. *)
@@ -1056,29 +1042,20 @@ let step_inner t ~thread (call : Syscall.t) =
     ret
   end
 
-(* Step observer for the sanitizer: brackets every syscall so an external
-   checker can attribute memory accesses to the executing thread's
-   container.  Same zero-cost-when-unarmed discipline as the Obs guards;
-   the armed path uses [Fun.protect] so the exit bracket fires even when a
-   harness-injected fault escapes the dispatcher. *)
-let step_obs_armed = ref false
-
-let step_obs : (t -> thread:int -> entering:bool -> unit) ref =
-  ref (fun _ ~thread:_ ~entering:_ -> ())
+(* Brackets around every syscall, so the sanitizer can attribute
+   memory accesses to the executing thread's container.  The armed path
+   uses [Fun.protect] so the exit bracket fires even when a
+   harness-injected fault escapes the dispatcher.  Not counted. *)
+let steps : (t -> thread:int -> entering:bool -> unit) Hook.t = Hook.create ()
 
 let set_step_observer = function
-  | None ->
-    step_obs_armed := false;
-    step_obs := (fun _ ~thread:_ ~entering:_ -> ())
-  | Some f ->
-    step_obs := f;
-    step_obs_armed := true
+  | None -> Hook.remove steps ~key:"step-observer"
+  | Some f -> Hook.add steps ~key:"step-observer" f
 
 let step t ~thread (call : Syscall.t) =
-  if not !step_obs_armed then step_inner t ~thread call
+  if not steps.armed then step_inner t ~thread call
   else begin
-    !step_obs t ~thread ~entering:true;
-    Fun.protect
-      ~finally:(fun () -> !step_obs t ~thread ~entering:false)
-      (fun () -> step_inner t ~thread call)
+    let bracket entering = List.iter (fun (_, f) -> f t ~thread ~entering) steps.subs in
+    bracket true;
+    Fun.protect ~finally:(fun () -> bracket false) (fun () -> step_inner t ~thread call)
   end

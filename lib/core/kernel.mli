@@ -59,50 +59,15 @@ val boot : boot_params -> (t * int, Atmo_util.Errno.t) result
 val step : t -> thread:int -> Atmo_spec.Syscall.t -> Atmo_spec.Syscall.ret
 (** Uniform dispatcher over all system calls. *)
 
+val steps : (t -> thread:int -> entering:bool -> unit) Atmo_util.Hook.t
+(** Brackets around every {!step}: [~entering:true] before dispatch,
+    [~entering:false] after, even on exceptions.  atmo_san subscribes to
+    attribute physical-memory accesses to the executing thread's
+    container.  Unarmed, a step costs one field load.  Not counted. *)
+
 val set_step_observer : (t -> thread:int -> entering:bool -> unit) option -> unit
-(** Process-global bracket around every {!step} (called with
-    [~entering:true] before dispatch, [~entering:false] after, even on
-    exceptions).  Used by atmo_san to attribute physical-memory accesses
-    to the executing thread's container; one bool load per step when not
-    installed. *)
-
-val sys_mmap :
-  t -> thread:int -> va:int -> count:int -> size:Atmo_pmem.Page_state.size ->
-  perm:Atmo_hw.Pte_bits.perm -> Atmo_spec.Syscall.ret
-
-val sys_munmap :
-  t -> thread:int -> va:int -> count:int -> size:Atmo_pmem.Page_state.size ->
-  Atmo_spec.Syscall.ret
-
-val sys_mprotect : t -> thread:int -> va:int -> perm:Atmo_hw.Pte_bits.perm -> Atmo_spec.Syscall.ret
-val sys_new_container : t -> thread:int -> quota:int -> cpus:Atmo_util.Iset.t -> Atmo_spec.Syscall.ret
-val sys_new_process : t -> thread:int -> Atmo_spec.Syscall.ret
-val sys_new_thread : t -> thread:int -> Atmo_spec.Syscall.ret
-val sys_new_endpoint : t -> thread:int -> slot:int -> Atmo_spec.Syscall.ret
-val sys_close_endpoint : t -> thread:int -> slot:int -> Atmo_spec.Syscall.ret
-val sys_send : t -> thread:int -> slot:int -> msg:Atmo_pm.Message.t -> Atmo_spec.Syscall.ret
-val sys_recv : t -> thread:int -> slot:int -> Atmo_spec.Syscall.ret
-val sys_send_nb : t -> thread:int -> slot:int -> msg:Atmo_pm.Message.t -> Atmo_spec.Syscall.ret
-val sys_recv_nb : t -> thread:int -> slot:int -> Atmo_spec.Syscall.ret
-val sys_recv_reject : t -> thread:int -> slot:int -> Atmo_spec.Syscall.ret
-val sys_yield : t -> thread:int -> Atmo_spec.Syscall.ret
-val sys_terminate_container : t -> thread:int -> container:int -> Atmo_spec.Syscall.ret
-val sys_terminate_process : t -> thread:int -> proc:int -> Atmo_spec.Syscall.ret
-val sys_assign_device : t -> thread:int -> device:int -> Atmo_spec.Syscall.ret
-(** Create a dedicated IOMMU page table for the device (charged to the
-    caller's container) and attach the device to it.  The device starts
-    with an empty DMA window. *)
-
-val sys_io_map : t -> thread:int -> device:int -> iova:int -> va:int -> Atmo_spec.Syscall.ret
-(** Expose the 4 KiB frame backing [va] in the caller's address space to
-    the device at I/O virtual address [iova] (shares the frame:
-    reference counted like an IPC page grant). *)
-
-val sys_io_unmap : t -> thread:int -> device:int -> iova:int -> Atmo_spec.Syscall.ret
-
-val sys_register_irq : t -> thread:int -> device:int -> slot:int -> Atmo_spec.Syscall.ret
-(** Route the device's interrupt to the endpoint held in the caller's
-    descriptor slot; only the device owner may register, once. *)
+(** Subscribe to (or, with [None], leave) {!steps} under the key
+    ["step-observer"]. *)
 
 val irq_fire : t -> device:int -> Atmo_spec.Syscall.ret
 (** Hardware entry: the device raised its interrupt.  Delivered as a
@@ -132,16 +97,11 @@ val set_span_leak_plant : bool -> unit
     span on the IPC slowpath and never close it.  Only the span-balance
     lint should ever see this on. *)
 
-val add_device_hook : key:string -> (op:string -> unit) -> unit
-(** Process-global observer of device-table / IRQ-backlog mutations
-    (keyed registry; one bool load per change when nothing is
-    installed).  Used by the incremental verifier's dirty tracker. *)
-
-val remove_device_hook : key:string -> unit
-
-val device_mutation_count : unit -> int
-(** Intrinsic count of device-table mutations across every kernel
-    instance; always on.  Audited by atmo_san's [stale-proof] lint. *)
+val device_mutations : (op:string -> unit) Atmo_util.Hook.t
+(** One note per change to the device table or the IRQ-backlog cache,
+    on every kernel instance; counted before the armed test.  The
+    incremental verifier's dirty tracker subscribes, and atmo_san's
+    [stale-proof] lint audits the count. *)
 
 val irq_backlog_of : t -> ep:int -> int
 (** Pending interrupts routed to [ep] (the cached total; invariants

@@ -31,25 +31,18 @@ val uid : t -> int
     external observers (the sanitizer) key per-memory state without
     retaining the memory itself. *)
 
-(** {2 Sanitizer access hook}
-
-    A single process-global hook observing every load/store/zero, in the
-    style of the {!Atmo_obs.Sink} tracepoint guard: when no hook is
-    installed (the default) each access costs one mutable-bool load and
-    nothing else, so the unhooked path is bit-identical.  The hook runs
-    after bounds/alignment validation and before the access. *)
+(** {2 Access channel} *)
 
 type access_op =
   | Read
   | Write
   | Zero  (** whole-frame zeroing via {!zero_page} *)
 
-val set_access_hook : (t -> access_op -> int -> int -> unit) option -> unit
-(** [set_access_hook (Some f)]: call [f mem op addr len] on every access
-    to every memory; [None] restores the zero-cost path. *)
-
-val observing : unit -> bool
-(** True iff an access hook is installed. *)
+val accesses : (t -> access_op -> int -> int -> unit) Atmo_util.Hook.t
+(** [f mem op addr len] for every access to every memory, after
+    bounds/alignment validation and before the access; subscribed by
+    atmo_san's shadow memory.  Unarmed, an access costs one field load,
+    so the unobserved path is bit-identical.  Not counted. *)
 
 val page_count : t -> int
 
@@ -82,7 +75,7 @@ val iter_nonzero_u64 : t -> page:int -> (int -> int64 -> unit) -> unit
     8-byte slot of the 4 KiB frame at [page], in ascending slot order
     ([slot] in [0, 512)).  It yields exactly the nonzero values that
     {!read_u64} would at [page + 8 * slot], with one frame lookup and a
-    single access-hook [Read] of the whole page.  [page] must be
+    single {!accesses} [Read] of the whole page.  [page] must be
     page-aligned and in bounds; raises [Invalid_argument] otherwise. *)
 
 val read_u8 : t -> addr:int -> int

@@ -15,27 +15,12 @@ type 'a t = {
          section and retry when a writer interleaved *)
 }
 
-(* Mutation observers: a keyed registry so independent analyses (the
-   sanitizer's lock-discipline checker, the incremental verifier's
-   dirty tracker) can subscribe simultaneously; one bool load per
-   mutation when nothing is installed.  Borrows are reads and are not
-   reported — the big lock protects mutations of kernel state. *)
-let hook_armed = ref false
-let hooks : (string * (name:string -> op:string -> ptr:int -> unit)) list ref = ref []
-
-let add_mutation_hook ~key f =
-  hooks := (key, f) :: List.remove_assoc key !hooks;
-  hook_armed := true
-
-let remove_mutation_hook ~key =
-  hooks := List.remove_assoc key !hooks;
-  hook_armed := !hooks <> []
-
-let legacy = "legacy-single-slot"
-
-let set_mutation_hook = function
-  | None -> remove_mutation_hook ~key:legacy
-  | Some f -> add_mutation_hook ~key:legacy f
+(* Mutation observers (the sanitizer's lock-discipline checker, the
+   incremental verifier's dirty tracker).  Borrows are reads and are
+   not reported — the big lock protects mutations of kernel state.
+   The audit is per map name, so the intrinsic count lives in the
+   per-name table below, not in the channel's own counter. *)
+let mutations : (name:string -> op:string -> ptr:int -> unit) Hook.t = Hook.create ()
 
 (* Intrinsic per-name mutation counters: always on, shared by every map
    instance with the same [name] (scratch worlds included), and
@@ -79,9 +64,7 @@ let name t = t.name
 let note t ~op ~ptr =
   Atomic.incr t.muts;
   t.epoch <- t.epoch + 1;
-  if !hook_armed then List.iter (fun (_, f) -> f ~name:t.name ~op ~ptr) !hooks
-
-let epoch t = t.epoch
+  if mutations.armed then List.iter (fun (_, f) -> f ~name:t.name ~op ~ptr) mutations.subs
 
 (* Seqlock-style read section: writers (note) bump the epoch, so a
    reader that observes the same epoch on both sides of its borrows saw
@@ -143,4 +126,3 @@ let iter f t = Imap.iter f t.map
 let fold f t acc = Imap.fold f t.map acc
 let bindings t = Imap.bindings t.map
 let for_all f t = Imap.for_all f t.map
-let accesses t = Atmo_obs.Metrics.Counter.value t.borrows

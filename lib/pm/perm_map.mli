@@ -48,44 +48,23 @@ val bindings : 'a t -> (int * 'a) list
 (** All (pointer, permission) pairs in increasing pointer order; the
     map's ghost-state view for auditors and tests. *)
 
-val set_mutation_hook :
-  (name:string -> op:string -> ptr:int -> unit) option -> unit
-(** Process-global observer of map mutations ([op] is ["alloc"],
-    ["consume"] or ["update"]) used by atmo_san's lock-discipline
-    checker; one bool load per mutation when not installed.  Borrows are
-    reads and are not reported.  Equivalent to
-    {!add_mutation_hook}/{!remove_mutation_hook} under a reserved key —
-    kept so existing single-subscriber callers are unchanged. *)
-
-val add_mutation_hook :
-  key:string -> (name:string -> op:string -> ptr:int -> unit) -> unit
-(** Subscribe under [key]; replaces any previous subscriber with the
-    same key.  Multiple analyses (sanitizer, incremental verifier's
-    dirty tracker) observe every mutation independently. *)
-
-val remove_mutation_hook : key:string -> unit
-
-val epoch : 'a t -> int
-(** Per-instance write epoch: incremented by every mutation attempt
-    ([alloc]/[update]/[consume]).  The sequence word of the read-mostly
-    regime — a reader that sees the same epoch before and after a
-    borrow-only section raced no writer. *)
+val mutations : (name:string -> op:string -> ptr:int -> unit) Atmo_util.Hook.t
+(** Every mutation attempt ([op] is ["alloc"], ["consume"] or
+    ["update"]) on every map, fired before the linearity guard; borrows
+    are reads and are not reported.  Subscribed by atmo_san's
+    lock-discipline checker and the incremental verifier's dirty
+    tracker.  The intrinsic count is per name ({!mutation_count}); the
+    channel's own counter stays at zero. *)
 
 val read_section : 'a t -> (unit -> 'b) -> 'b
-(** Seqlock-style optimistic read section: run [f] (borrows only),
-    retry if the epoch moved underneath it (a writer interleaved),
-    bounded at 8 retries.  Retries are counted under the
-    [pm/read_retries] metric. *)
+(** Seqlock-style optimistic read section: run [f] (borrows only) and
+    retry if the map's write epoch, bumped by every mutation attempt,
+    moved underneath it (a writer interleaved), bounded at 8 retries.
+    Retries are counted under the [pm/read_retries] metric. *)
 
 val mutation_count : name:string -> int
 (** Intrinsic mutation count for every map ever created with [name],
     summed over all instances (scratch worlds included).  Always on and
-    independent of the hook registry: atmo_san's [stale-proof] lint
+    independent of {!mutations}' subscribers: atmo_san's [stale-proof] lint
     compares it against the dirty tracker's observed count, so a
     mutation that bypassed the tracker is detectable. *)
-
-val accesses : 'a t -> int
-(** Deprecated shim: the borrow/update count now lives in the obs
-    metrics registry as the counter [pm/borrows/<name>] (zeroed by
-    [Atmo_obs.Metrics.reset] like every other metric); this reads the
-    same counter.  Prefer the registry. *)

@@ -46,43 +46,18 @@ type t = {
 let frame_addr i = i * Phys_mem.page_size
 let frame_of_addr a = a / Phys_mem.page_size
 
-(* Allocator event hook for the sanitizer layer (atmo_san): same
-   zero-overhead discipline as the Phys_mem access hook — one
-   mutable-bool load per site when nothing is installed. *)
+(* Allocator lifecycle events for the sanitizer's shadow map and the
+   dirty tracker.  Every site bumps the intrinsic count, then builds
+   its event only when the channel is armed. *)
 type event =
   | Created of t
   | Claim of { alloc : t; addr : int; frames : int; purpose : purpose }
   | Free_request of { alloc : t; addr : int; what : string }
   | Release of { alloc : t; addr : int; frames : int }
 
-let hook_armed = ref false
-let hooks : (string * (event -> unit)) list ref = ref []
-
-let add_event_hook ~key f =
-  hooks := (key, f) :: List.remove_assoc key !hooks;
-  hook_armed := true
-
-let remove_event_hook ~key =
-  hooks := List.remove_assoc key !hooks;
-  hook_armed := !hooks <> []
-
-let legacy = "legacy-single-slot"
-
-let set_event_hook = function
-  | None -> remove_event_hook ~key:legacy
-  | Some f -> add_event_hook ~key:legacy f
-
-(* Intrinsic allocator-mutation counter: always on, bumped exactly once
-   per event site (create/claim/release/free-request), independent of
-   any subscriber — the stale-proof lint compares it against the dirty
-   tracker's observed count.  Atomic so parallel discharge domains
-   building scratch worlds stay safe. *)
-let muts = Atomic.make 0
-let mutation_count () = Atomic.get muts
-
-let note ev =
-  Atomic.incr muts;
-  if !hook_armed then List.iter (fun (_, f) -> f ev) !hooks
+let events : (event -> unit) Hook.t = Hook.create ()
+let mutation_count () = Hook.count events
+let fire ev = List.iter (fun (_, f) -> f ev) events.subs
 
 let mem t = t.mem
 
@@ -110,7 +85,8 @@ let create mem ~reserved_frames =
   for i = reserved_frames to nframes - 1 do
     Dll.push_back t.free4k i
   done;
-  note (Created t);
+  Hook.note events;
+  if events.armed then fire (Created t);
   t
 
 let managed_frames t = t.nframes - t.first
@@ -154,7 +130,9 @@ let merge_ctr = Atmo_obs.Metrics.counter "pmem/superpage_merge"
 
 let claim t i size purpose =
   let m = t.meta.(i) in
-  note (Claim { alloc = t; addr = frame_addr i; frames = frames_per size; purpose });
+  Hook.note events;
+  if events.armed then
+    fire (Claim { alloc = t; addr = frame_addr i; frames = frames_per size; purpose });
   m.size <- size;
   m.state <- (match purpose with Kernel -> Allocated | User -> Mapped 1);
   journal t ~lo:i ~hi:(i + 1);
@@ -322,7 +300,9 @@ let rec alloc_1g t ~purpose =
 
 let release t i =
   let m = t.meta.(i) in
-  note (Release { alloc = t; addr = frame_addr i; frames = frames_per m.size });
+  Hook.note events;
+  if events.armed then
+    fire (Release { alloc = t; addr = frame_addr i; frames = frames_per m.size });
   m.state <- Free;
   journal t ~lo:i ~hi:(i + 1);
   let list =
@@ -335,7 +315,8 @@ let release t i =
   end
 
 let free_kernel_page t ~addr =
-  note (Free_request { alloc = t; addr; what = "free_kernel_page" });
+  Hook.note events;
+  if events.armed then fire (Free_request { alloc = t; addr; what = "free_kernel_page" });
   let i, m = head_meta t ~addr "free_kernel_page" in
   match m.state with
   | Allocated -> release t i
@@ -352,7 +333,8 @@ let inc_ref t ~addr =
       (Format.asprintf "Page_alloc.inc_ref: 0x%x is %a" addr pp_state m.state)
 
 let dec_ref t ~addr =
-  note (Free_request { alloc = t; addr; what = "dec_ref" });
+  Hook.note events;
+  if events.armed then fire (Free_request { alloc = t; addr; what = "dec_ref" });
   let i, m = head_meta t ~addr "dec_ref" in
   match m.state with
   | Mapped 1 ->

@@ -25,14 +25,7 @@ val create : Atmo_hw.Phys_mem.t -> reserved_frames:int -> t
 val mem : t -> Atmo_hw.Phys_mem.t
 (** The physical memory this allocator manages. *)
 
-(** {2 Sanitizer event hook}
-
-    Process-global allocator-lifecycle observer used by atmo_san's shadow
-    permission map; zero-overhead (one bool load per site) when not
-    installed.  [Free_request] fires at the entry of
-    {!free_kernel_page}/{!dec_ref} {e before} the allocator's own state
-    guard, so an external checker can classify a double free even though
-    the allocator will also reject it. *)
+(** {2 Lifecycle events} *)
 
 type event =
   | Created of t  (** a fresh allocator came up (all managed frames free) *)
@@ -43,21 +36,17 @@ type event =
   | Release of { alloc : t; addr : int; frames : int }
       (** a block actually returned to its free list *)
 
-val set_event_hook : (event -> unit) option -> unit
-(** Single-subscriber shim over {!add_event_hook} under a reserved key;
-    kept so existing callers are unchanged. *)
-
-val add_event_hook : key:string -> (event -> unit) -> unit
-(** Subscribe under [key] (replacing any previous subscriber with the
-    same key); all subscribers observe every event. *)
-
-val remove_event_hook : key:string -> unit
+val events : (event -> unit) Atmo_util.Hook.t
+(** Every event of every allocator, counted (intrinsically, before the
+    armed test) and then dispatched.  [Free_request] fires at the entry
+    of {!free_kernel_page}/{!dec_ref} {e before} the allocator's own
+    state guard, so atmo_san's shadow map can classify a double free
+    even though the allocator also rejects it.  The incremental
+    verifier's dirty tracker subscribes too. *)
 
 val mutation_count : unit -> int
-(** Intrinsic count of allocator events ever dispatched, over all
-    allocator instances; always on, independent of subscribers.
-    atmo_san's [stale-proof] lint compares it against the dirty
-    tracker's observed count. *)
+(** [Hook.count events]: audited by atmo_san's [stale-proof] lint
+    against the dirty tracker's observed count. *)
 
 val managed_frames : t -> int
 val free_count_4k : t -> int

@@ -53,29 +53,15 @@ type t = {
   mutable step_hook : (leaf:bool -> unit) option;
 }
 
-(* Global structural-mutation observer for the incremental verifier's
-   dirty tracker: unlike the per-instance [step_hook] (which counts
-   concrete PTE stores for cost models), this fires once per successful
-   structural change to ANY page table — map/unmap/update_perm/
-   create/destroy/prune — with the always-on intrinsic counter the
-   stale-proof lint audits against. *)
-let hook_armed = ref false
-let hooks : (string * (op:string -> unit)) list ref = ref []
-
-let add_mutation_hook ~key f =
-  hooks := (key, f) :: List.remove_assoc key !hooks;
-  hook_armed := true
-
-let remove_mutation_hook ~key =
-  hooks := List.remove_assoc key !hooks;
-  hook_armed := !hooks <> []
-
-let muts = Atomic.make 0
-let mutation_count () = Atomic.get muts
+(* Structural changes to any page table, for the dirty tracker; unlike
+   the per-instance [step_hook] (one firing per concrete PTE store) one
+   note per successful map/unmap/update_perm/create/destroy/prune. *)
+let mutations : (op:string -> unit) Hook.t = Hook.create ()
+let mutation_count () = Hook.count mutations
 
 let note ~op =
-  Atomic.incr muts;
-  if !hook_armed then List.iter (fun (_, f) -> f ~op) !hooks
+  Hook.note mutations;
+  if mutations.armed then List.iter (fun (_, f) -> f ~op) mutations.subs
 
 let cr3 t = t.cr3
 let mem t = t.mem

@@ -4,9 +4,9 @@
     verification assumes mutations of kernel state happen only inside
     it.  Lockcheck shadows that assumption at runtime, lockdep-style:
     the SMP simulator reports lock acquire/release (with an acquisition
-    site), the kernel's step observer brackets syscall execution, and
-    mutation hooks (permission maps, allocator events, physical stores)
-    report every kernel-state mutation.  A mutation inside a syscall
+    site), the {!Atmo_core.Kernel.steps} channel brackets syscall
+    execution, and the mutation channels (permission maps, allocator
+    events, physical stores) report every kernel-state mutation.  A mutation inside a syscall
     while the lock is not held files an [Unlocked_mutation] report with
     acquisition-site provenance; protocol breaks (double acquire,
     release without hold) file [Lock_misuse].

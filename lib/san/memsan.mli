@@ -6,12 +6,12 @@
     store presents a live permission.  Memsan is the runtime shadow of
     that discipline: it mirrors each tracked {!Atmo_hw.Phys_mem} with
     one state byte per 4 KiB frame (reserved / never-allocated / live
-    kernel / live user / freed / poisoned-free), kept in sync by the
-    allocator's event hook, and validates every access delivered by the
-    physical-memory access hook against it.
+    kernel / live user / freed / poisoned-free), kept in sync by
+    {!Atmo_pmem.Page_alloc.events}, and validates every access
+    delivered by {!Atmo_hw.Phys_mem.accesses} against it.
 
-    Memsan holds only handlers and state; {!Runtime} owns installing
-    the process-global hooks that feed it. *)
+    Memsan holds only handlers and state; {!Runtime} owns subscribing
+    them to the channels that feed it. *)
 
 type attr = {
   owners : Atmo_util.Iset.t;  (** containers with a mapping of the frame *)
@@ -55,7 +55,7 @@ val checked : unit -> int
 (** {2 Container attribution (optional)}
 
     When a snapshot is installed and an executing container is known
-    (set by {!Runtime}'s step observer), accesses to live user frames
+    (set by {!Runtime}'s {!Atmo_core.Kernel.steps} subscriber), accesses to live user frames
     are additionally checked for cross-container reaches
     ([Foreign_page]) and stores through read-only-everywhere frames
     ([Bad_write_ro]).  Frames absent from the snapshot are skipped —

@@ -10,6 +10,7 @@ module Process = Atmo_pm.Process
 module Kernel = Atmo_core.Kernel
 
 let is_armed = ref false
+let key = "san"
 let attribution_on = ref false
 let subject : Kernel.t option ref = ref None
 
@@ -97,17 +98,17 @@ let arm ?(poison = false) ?(lockcheck = false) ?(attribution = false) () =
   attribution_on := attribution;
   attr_dirty := true;
   subject := None;
-  Phys_mem.set_access_hook (Some dispatch_access);
-  Page_alloc.set_event_hook (Some dispatch_event);
-  Perm_map.set_mutation_hook (Some dispatch_perm);
-  Kernel.set_step_observer (Some step_observer);
+  Hook.add Phys_mem.accesses ~key dispatch_access;
+  Hook.add Page_alloc.events ~key dispatch_event;
+  Hook.add Perm_map.mutations ~key dispatch_perm;
+  Hook.add Kernel.steps ~key step_observer;
   is_armed := true
 
 let disarm () =
-  Phys_mem.set_access_hook None;
-  Page_alloc.set_event_hook None;
-  Perm_map.set_mutation_hook None;
-  Kernel.set_step_observer None;
+  Hook.remove Phys_mem.accesses ~key;
+  Hook.remove Page_alloc.events ~key;
+  Hook.remove Perm_map.mutations ~key;
+  Hook.remove Kernel.steps ~key;
   Lockcheck.disarm ();
   Memsan.reset ~poison:false;
   attribution_on := false;

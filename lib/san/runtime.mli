@@ -1,12 +1,13 @@
-(** atmo-san orchestration: owns the process-global hooks.
+(** atmo-san orchestration: owns the sanitizer's subscriptions.
 
-    {!arm} installs the physical-memory access hook, the allocator
-    event hook, the permission-map mutation hook and the kernel step
-    observer, routing them to {!Memsan} and {!Lockcheck}; {!disarm}
-    restores the zero-cost paths everywhere.  Exactly one component
-    installs those hooks, so layering stays acyclic: the substrates
-    know nothing of the sanitizer, and the sanitizer reaches them only
-    through their public registries. *)
+    {!arm} subscribes under the key ["san"] to
+    {!Atmo_hw.Phys_mem.accesses}, {!Atmo_pmem.Page_alloc.events},
+    {!Atmo_pm.Perm_map.mutations} and {!Atmo_core.Kernel.steps},
+    routing them to {!Memsan} and {!Lockcheck}; {!disarm} removes that
+    key, leaving other subscribers in place.  Exactly one component
+    subscribes for the sanitizer, so layering stays acyclic: the
+    substrates know nothing of it, and it reaches them only through
+    their public {!Atmo_util.Hook} channels. *)
 
 val arm : ?poison:bool -> ?lockcheck:bool -> ?attribution:bool -> unit -> unit
 (** Start sanitizing.  Defaults: [poison:false] (free-page poisoning

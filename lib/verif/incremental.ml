@@ -1,3 +1,4 @@
+open Atmo_util
 module Perm_map = Atmo_pm.Perm_map
 module Page_alloc = Atmo_pmem.Page_alloc
 module Page_table = Atmo_pt.Page_table
@@ -16,17 +17,14 @@ let dev_id = "kernel/devices"
    audit baselines are snapshotted for exactly these. *)
 let pm_names = [ "cntr_perms"; "proc_perms"; "thrd_perms"; "edpt_perms" ]
 
-(* Base ids with an always-on intrinsic counter to audit against. *)
-let audited_ids =
-  List.map pm_id pm_names @ [ alloc_id; pt_id; dev_id ]
-
-let intrinsic_of id =
-  if id = alloc_id then Page_alloc.mutation_count ()
-  else if id = pt_id then Page_table.mutation_count ()
-  else if id = dev_id then Kernel.device_mutation_count ()
-  else
-    (* "pm/<name>" *)
-    Perm_map.mutation_count ~name:(String.sub id 3 (String.length id - 3))
+(* Audited ids, each with a reader of its always-on intrinsic count. *)
+let audited =
+  List.map (fun name -> (pm_id name, fun () -> Perm_map.mutation_count ~name)) pm_names
+  @ [
+      (alloc_id, fun () -> Hook.count Page_alloc.events);
+      (pt_id, fun () -> Hook.count Page_table.mutations);
+      (dev_id, fun () -> Hook.count Kernel.device_mutations);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The tracker                                                         *)
@@ -39,6 +37,7 @@ type t = {
   cache : (string, Obligation.result) Hashtbl.t;  (* obligation name -> verdict *)
   mutable suspended : bool;  (* discharge in progress: ignore scratch worlds *)
   mutable planted : bool;  (* stale-proof plant: drop marks on the floor *)
+  lock : Mutex.t;  (* marks arrive from discharge pool domains too *)
 }
 
 let active : t option ref = ref None
@@ -56,7 +55,8 @@ let bump t id =
   let c = counter_of t id in
   c.seen <- c.seen + 1
 
-let mark t id = if not (t.suspended || t.planted) then bump t id
+let mark t id =
+  if not (t.suspended || t.planted) then Mutex.protect t.lock (fun () -> bump t id)
 
 (* Invariant audited by atmo_san's stale-proof lint: for every audited
    id, intrinsic_now = baseline + seen.  [resync] restores it after a
@@ -65,8 +65,9 @@ let mark t id = if not (t.suspended || t.planted) then bump t id
    kernel's maps). *)
 let resync t =
   List.iter
-    (fun id -> Hashtbl.replace t.baselines id (intrinsic_of id - (counter_of t id).seen))
-    audited_ids
+    (fun (id, intrinsic) ->
+      Hashtbl.replace t.baselines id (intrinsic () - (counter_of t id).seen))
+    audited
 
 let arm () =
   let t =
@@ -76,22 +77,23 @@ let arm () =
       cache = Hashtbl.create 64;
       suspended = false;
       planted = false;
+      lock = Mutex.create ();
     }
   in
   resync t;
-  Perm_map.add_mutation_hook ~key:hook_key (fun ~name ~op ~ptr:_ ->
+  Hook.add Perm_map.mutations ~key:hook_key (fun ~name ~op ~ptr:_ ->
       mark t (pm_id name);
       if op <> "update" then mark t (pm_dom_id name));
-  Page_alloc.add_event_hook ~key:hook_key (fun _ev -> mark t alloc_id);
-  Page_table.add_mutation_hook ~key:hook_key (fun ~op:_ -> mark t pt_id);
-  Kernel.add_device_hook ~key:hook_key (fun ~op:_ -> mark t dev_id);
+  Hook.add Page_alloc.events ~key:hook_key (fun _ev -> mark t alloc_id);
+  Hook.add Page_table.mutations ~key:hook_key (fun ~op:_ -> mark t pt_id);
+  Hook.add Kernel.device_mutations ~key:hook_key (fun ~op:_ -> mark t dev_id);
   active := Some t
 
 let disarm () =
-  Perm_map.remove_mutation_hook ~key:hook_key;
-  Page_alloc.remove_event_hook ~key:hook_key;
-  Page_table.remove_mutation_hook ~key:hook_key;
-  Kernel.remove_device_hook ~key:hook_key;
+  Hook.remove Perm_map.mutations ~key:hook_key;
+  Hook.remove Page_alloc.events ~key:hook_key;
+  Hook.remove Page_table.mutations ~key:hook_key;
+  Hook.remove Kernel.device_mutations ~key:hook_key;
   active := None
 
 let is_armed () = !active <> None
@@ -132,14 +134,14 @@ let audit () =
   | None -> []
   | Some t ->
     List.filter_map
-      (fun id ->
+      (fun (id, intrinsic) ->
         match Hashtbl.find_opt t.baselines id with
         | None -> None
         | Some base ->
-          let expected = intrinsic_of id - base in
+          let expected = intrinsic () - base in
           let observed = (counter_of t id).seen in
           if expected <> observed then Some (id, expected, observed) else None)
-      audited_ids
+      audited
 
 let cached_verdicts () =
   match !active with None -> 0 | Some t -> Hashtbl.length t.cache

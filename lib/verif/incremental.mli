@@ -2,10 +2,12 @@
 
     Verus re-verifies only the functions whose dependencies changed;
     this layer gives the executable verifier the same locality.  A
-    process-global {e dirty tracker} subscribes to the mutation hooks of
-    every annotated state container — {!Atmo_pm.Perm_map} (per-map),
-    {!Atmo_pmem.Page_alloc}, {!Atmo_pt.Page_table} and the kernel
-    device table — and records, per {e map id}, how many mutations it
+    process-global {e dirty tracker} subscribes, under the key
+    ["verif-incremental"], to the {!Atmo_util.Hook} channel of every
+    annotated state container — {!Atmo_pm.Perm_map.mutations}
+    (per-map), {!Atmo_pmem.Page_alloc.events},
+    {!Atmo_pt.Page_table.mutations} and
+    {!Atmo_core.Kernel.device_mutations} — and records, per {e map id}, how many mutations it
     has observed ([seen]) versus how many had been observed when each
     map's obligations were last discharged ([acked]).  A map is dirty
     iff [seen > acked]; {!run} re-discharges only obligations whose

@@ -1,6 +1,7 @@
 (* Hardware substrate: physical memory, PTE encoding, MMU walk, IOMMU. *)
 
 open Atmo_hw
+module Hook = Atmo_util.Hook
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -99,9 +100,10 @@ let test_mem_iter_nonzero_hook () =
   Phys_mem.write_u64 m ~addr:8 7L;
   Phys_mem.write_u64 m ~addr:(4096 + 4088) 9L;
   let calls = ref [] in
-  Phys_mem.set_access_hook (Some (fun _ op addr len -> calls := (op, addr, len) :: !calls));
+  Hook.add Phys_mem.accesses ~key:"test" (fun _ op addr len ->
+      calls := (op, addr, len) :: !calls);
   Fun.protect
-    ~finally:(fun () -> Phys_mem.set_access_hook None)
+    ~finally:(fun () -> Hook.remove Phys_mem.accesses ~key:"test")
     (fun () ->
       List.iter
         (fun page -> Phys_mem.iter_nonzero_u64 m ~page (fun _ _ -> ()))
@@ -109,6 +111,39 @@ let test_mem_iter_nonzero_hook () =
   checkb "one whole-page Read per page, in order" true
     (List.rev !calls
      = [ (Phys_mem.Read, 0, 4096); (Phys_mem.Read, 4096, 4096); (Phys_mem.Read, 3 * 4096, 4096) ])
+
+(* Two keyed subscribers on one channel: both see every access, newest
+   first; the channel stays armed until its last subscriber leaves. *)
+let test_access_channel_two_subscribers () =
+  let m = Phys_mem.create ~page_count:2 in
+  let log = ref [] in
+  let sub name _ op addr len = log := (name, op, addr, len) :: !log in
+  Hook.add Phys_mem.accesses ~key:"a" (sub "a");
+  Hook.add Phys_mem.accesses ~key:"b" (sub "b");
+  Fun.protect
+    ~finally:(fun () ->
+      Hook.remove Phys_mem.accesses ~key:"a";
+      Hook.remove Phys_mem.accesses ~key:"b")
+    (fun () ->
+      ignore (Phys_mem.read_u64 m ~addr:16);
+      ignore (Phys_mem.read_u64 m ~addr:4096);
+      check
+        Alcotest.(list (pair string int))
+        "both keys see each Read, in access order"
+        [ ("b", 16); ("a", 16); ("b", 4096); ("a", 4096) ]
+        (List.rev_map
+           (fun (k, op, addr, len) ->
+             checkb "a whole u64 Read" true (op = Phys_mem.Read && len = 8);
+             (k, addr))
+           !log);
+      Hook.remove Phys_mem.accesses ~key:"a";
+      checkb "one key left: still armed" true Phys_mem.accesses.armed;
+      log := [];
+      Phys_mem.write_u64 m ~addr:8 1L;
+      checkb "only the remaining key sees the Write" true
+        (!log = [ ("b", Phys_mem.Write, 8, 8) ]);
+      Hook.remove Phys_mem.accesses ~key:"b";
+      checkb "last key gone: disarmed" false Phys_mem.accesses.armed)
 
 (* The leaves of a table walk that reads every slot with [read_u64], in
    the order the page-granular [Page_table.walk_concrete] must match. *)
@@ -444,6 +479,8 @@ let () =
             test_mem_iter_nonzero;
           Alcotest.test_case "iter_nonzero_u64 hooks once per page" `Quick
             test_mem_iter_nonzero_hook;
+          Alcotest.test_case "access channel: two keyed subscribers" `Quick
+            test_access_channel_two_subscribers;
           Alcotest.test_case "walk_concrete matches a per-slot walk" `Quick
             test_walk_concrete_matches_per_slot;
         ] );

@@ -149,22 +149,33 @@ let test_incremental_matches_full () =
         let full = Incremental.run ~threads:1 suite in
         checki "first run discharges everything" n full.Runner.rechecked;
         let rng = Random.State.make [| 0xA7705 |] in
-        for _burst = 1 to 3 do
-          (* a seeded burst of plausible-but-arbitrary system calls *)
-          for _step = 1 to 5 do
-            match Harness.random_thread rng k with
-            | None -> ()
-            | Some thread ->
-              ignore (Kernel.step k ~thread (Harness.random_call rng k ~thread))
-          done;
-          let inc = Incremental.run ~threads:1 suite in
-          let oracle = Runner.run ~threads:1 suite in
-          checkb "incremental verdicts bit-identical to full oracle" true
-            (verdicts inc = verdicts oracle);
-          (* the oracle ran outside [suspend]: its scratch worlds fired
-             the hooks, so ack that noise before the next burst *)
-          ignore (Incremental.run ~threads:1 suite)
-        done;
+        let bursts ~threads =
+          for _burst = 1 to 3 do
+            (* a seeded burst of plausible-but-arbitrary system calls *)
+            for _step = 1 to 5 do
+              match Harness.random_thread rng k with
+              | None -> ()
+              | Some thread ->
+                ignore (Kernel.step k ~thread (Harness.random_call rng k ~thread))
+            done;
+            let inc = Incremental.run ~threads suite in
+            let oracle = Runner.run ~threads suite in
+            checkb
+              (Printf.sprintf "-j %d: verdicts position-identical to full oracle" threads)
+              true
+              (verdicts inc = verdicts oracle);
+            (* the oracle ran outside [suspend]: its scratch worlds fired
+               the channels, from pool domains at -j 2, and the tracker
+               must have seen every intrinsically counted mutation *)
+            checkb (Printf.sprintf "-j %d: oracle noise fully tracked" threads) true
+              (Incremental.audit () = []);
+            (* ack that noise before the next burst *)
+            ignore (Incremental.run ~threads suite)
+          done
+        in
+        bursts ~threads:1;
+        bursts ~threads:2;
+        checkb "suspend/resync balanced after -j 2" true (Incremental.audit () = []);
         (* single-syscall mutation: a yield touches only the thread
            permission map, so the re-check set is a strict subset *)
         ignore (Kernel.step k ~thread:init Syscall.Yield);
