@@ -84,7 +84,8 @@ bench-all:
 
 # Pre-commit gate: build, tier-1 tests (plain and with the sanitizer
 # armed, so the TLB-coherence, scheduler and span-balance lints run
-# over every suite), the fastpath on/off oracle, the headline IPC
+# over every suite), the fastpath on/off oracle, the four examples
+# (each asserts its transitions' specs or total_wf), the headline IPC
 # table, the sanitizer over the scripted workload + hostile device
 # sweep (clean run must report zero violations; the stale-TLB,
 # fastpath-skip, span-leak, lock-order, queue-corrupt, lost-steal and
@@ -108,6 +109,10 @@ bench-all:
 check:
 	dune build && dune runtest && SAN=1 dune runtest --force \
 	&& dune exec test/test_fastpath.exe \
+	&& dune exec examples/quickstart.exe \
+	&& dune exec examples/isolation_demo.exe \
+	&& dune exec examples/shared_service.exe \
+	&& dune exec examples/driver_pipeline.exe \
 	&& dune exec bench/main.exe -- table3 \
 	&& dune exec bin/atmo_cli.exe -- san \
 	&& dune exec bin/atmo_cli.exe -- san --plant stale-tlb \

@@ -19,20 +19,23 @@ module Syscall = Atmo_spec.Syscall
 module Message = Atmo_pm.Message
 module Page_state = Atmo_pmem.Page_state
 module Pte = Atmo_hw.Pte_bits
+module Worlds = Atmo_workloads.Worlds
 
 let cost = Cost.default
 let line fmt = Format.printf (fmt ^^ "@.")
 let section title = line "@.== %s ==@." title
 
-(* Host seconds for [reps] runs of [f] on bechamel's monotonic clock,
-   and the last run's result. *)
+(* Host time on bechamel's monotonic clock, in nanoseconds. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
+(* Host seconds for [reps] runs of [f], and the last run's result. *)
 let time_reps ~reps f =
-  let t0 = Monotonic_clock.now () in
+  let t0 = now_ns () in
   let last = ref (f ()) in
   for _ = 2 to reps do
     last := f ()
   done;
-  (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9, !last)
+  (float_of_int (now_ns () - t0) /. 1e9, !last)
 
 (* Machine-readable result files: every bench with an acceptance floor
    writes BENCH_<name>.json; [report] merges them into
@@ -227,12 +230,12 @@ let table3 () =
    | Error _ -> ()
    | Ok (k, init) ->
      let hist = Atmo_obs.Metrics.Histogram.make "bench/mmap_pair_ns" in
-     let t0 = Unix.gettimeofday () in
+     let t0 = now_ns () in
      let n = 20000 in
      (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
       | Syscall.Rptr _ ->
-        for i = 0 to n - 1 do
-          let p0 = Unix.gettimeofday () in
+        for _ = 1 to n do
+          let p0 = now_ns () in
           ignore
             (Kernel.step k ~thread:init
                (Syscall.Mmap
@@ -240,12 +243,10 @@ let table3 () =
           ignore
             (Kernel.step k ~thread:init
                (Syscall.Munmap { va = 0x4000_0000; count = 1; size = Page_state.S4k }));
-          Atmo_obs.Metrics.Histogram.observe hist
-            (int_of_float ((Unix.gettimeofday () -. p0) *. 1e9));
-          ignore i
+          Atmo_obs.Metrics.Histogram.observe hist (now_ns () - p0)
         done;
         line "(functional model: %d mmap+munmap pairs in %.1f ms)" n
-          ((Unix.gettimeofday () -. t0) *. 1000.);
+          (float_of_int (now_ns () - t0) /. 1e6);
         line "host latency per pair (ns, log2 buckets): p50 %d  p90 %d  p99 %d  max %d"
           (Atmo_obs.Metrics.Histogram.p50 hist)
           (Atmo_obs.Metrics.Histogram.p90 hist)
@@ -334,49 +335,25 @@ let fig4 () =
   line " atmo-c1-b1 2.3; atmo-c1-b32 11.1)";
   (* exercise the functional NIC path: frames through rings and IOMMU *)
   let frames = 2000 in
-  let mem = Atmo_hw.Phys_mem.create ~page_count:1024 in
-  let iommu = Atmo_hw.Iommu.create mem in
   let clock = Clock.create () in
-  (* identity-mapped IOMMU domain over the buffer arena *)
-  let alloc = Atmo_pmem.Page_alloc.create mem ~reserved_frames:0 in
-  (match Atmo_pt.Page_table.create mem alloc with
-   | Error _ -> ()
-   | Ok pt ->
-     let map_identity addr =
-       ignore (Atmo_pt.Page_table.map_4k pt ~vaddr:addr ~frame:addr ~perm:Pte.perm_rw)
-     in
-     let ring_page =
-       match Atmo_pmem.Page_alloc.alloc_4k alloc ~purpose:Atmo_pmem.Page_alloc.User with
-       | Some a -> a
-       | None -> 0
-     in
-     let bufs =
-       Array.init 64 (fun _ ->
-           match Atmo_pmem.Page_alloc.alloc_4k alloc ~purpose:Atmo_pmem.Page_alloc.User with
-           | Some a -> a
-           | None -> 0)
-     in
-     map_identity ring_page;
-     Array.iter map_identity bufs;
-     Atmo_hw.Iommu.attach iommu ~device:0 ~root:(Atmo_pt.Page_table.cr3 pt);
-     let nic = Atmo_drivers.Ixgbe.create mem iommu ~device:0 ~clock ~cost in
-     (match
-        Atmo_drivers.Ixgbe.setup_rx nic ~ring_iova:ring_page
-          ~buffers:(Array.map (fun a -> (a, 2048)) bufs)
-      with
-      | Error e -> line "ixgbe setup failed: %s" (Atmo_devmodel.Fault.error_to_string e)
-      | Ok () ->
-        let flow = Atmo_net.Packet.flow_of_ints ~src:1 ~dst:2 ~sport:1000 ~dport:53 in
-        let received = ref 0 in
-        for _ = 1 to frames do
-          ignore
-            (Atmo_drivers.Ixgbe.wire_deliver nic
-               (Atmo_net.Packet.build flow ~payload:(Bytes.make 22 'x')));
-          received := !received + List.length (Atmo_drivers.Ixgbe.rx_burst nic ~max:32)
-        done;
-        line "(functional path: %d/%d frames through descriptor rings + IOMMU, %d drops)"
-          !received frames
-          (Atmo_drivers.Ixgbe.rx_drops nic)))
+  let mem, iommu, span = Worlds.dma_arena ~page_count:1024 ~device:0 in
+  let nic = Atmo_drivers.Ixgbe.create mem iommu ~device:0 ~clock ~cost in
+  let ring_iova = span 4096 in
+  let buffers = Array.init 64 (fun _ -> (span 2048, 2048)) in
+  match Atmo_drivers.Ixgbe.setup_rx nic ~ring_iova ~buffers with
+  | Error e -> line "ixgbe setup failed: %s" (Atmo_devmodel.Fault.error_to_string e)
+  | Ok () ->
+    let flow = Atmo_net.Packet.flow_of_ints ~src:1 ~dst:2 ~sport:1000 ~dport:53 in
+    let received = ref 0 in
+    for _ = 1 to frames do
+      ignore
+        (Atmo_drivers.Ixgbe.wire_deliver nic
+           (Atmo_net.Packet.build flow ~payload:(Bytes.make 22 'x')));
+      received := !received + List.length (Atmo_drivers.Ixgbe.rx_burst nic ~max:32)
+    done;
+    line "(functional path: %d/%d frames through descriptor rings + IOMMU, %d drops)"
+      !received frames
+      (Atmo_drivers.Ixgbe.rx_drops nic)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: NVMe driver performance                                   *)
@@ -654,24 +631,7 @@ let san () =
     match Kernel.boot Kernel.default_boot with
     | Error _ -> None
     | Ok (k, init) ->
-      let t2 =
-        match Kernel.step k ~thread:init Syscall.New_thread with
-        | Syscall.Rptr t -> t
-        | _ -> init
-      in
-      (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-       | Syscall.Rptr ep ->
-         Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2
-           (fun th -> Atmo_pm.Thread.set_slot th 0 (Some ep))
-       | _ -> ());
-      let programs =
-        [
-          { Atmo_sim.Smp.thread = t2; think_cycles = 600;
-            call_of = (fun _ -> Syscall.Recv { slot = 0 }) };
-          { Atmo_sim.Smp.thread = init; think_cycles = 800;
-            call_of = (fun i -> Syscall.Send { slot = 0; msg = Message.scalars_only [ i ] }) };
-        ]
-      in
+      let { Worlds.programs; _ } = Worlds.ping_pong k ~init in
       (match Atmo_sim.Smp.run k ~cost ~cpus:2 ~programs ~iterations:500 with
        | Ok s -> Some (s.Atmo_sim.Smp.wall_cycles, s.Atmo_sim.Smp.lock_wait_cycles)
        | Error _ -> None)
@@ -768,16 +728,7 @@ let tlb () =
     match Kernel.boot Kernel.default_boot with
     | Error _ -> None
     | Ok (k, init) ->
-      let t2 =
-        match Kernel.step k ~thread:init Syscall.New_thread with
-        | Syscall.Rptr t -> t
-        | _ -> init
-      in
-      (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-       | Syscall.Rptr ep ->
-         Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2
-           (fun th -> Atmo_pm.Thread.set_slot th 0 (Some ep))
-       | _ -> ());
+      let t2 = (Worlds.ping_pong k ~init).Worlds.receiver in
       (* a user arena the loop translates every round, as a data-carrying
          IPC path would *)
       ignore
@@ -831,43 +782,24 @@ let tlb () =
   (* -- ixgbe forwarding with the IOTLB on vs off --------------------- *)
   let forward () =
     let frames = 2000 in
-    let mem = Atmo_hw.Phys_mem.create ~page_count:1024 in
-    let iommu = Atmo_hw.Iommu.create mem in
     let clock = Clock.create () in
-    let alloc = Atmo_pmem.Page_alloc.create mem ~reserved_frames:0 in
-    match Atmo_pt.Page_table.create mem alloc with
+    let mem, iommu, span = Worlds.dma_arena ~page_count:1024 ~device:0 in
+    let nic = Atmo_drivers.Ixgbe.create mem iommu ~device:0 ~clock ~cost in
+    let ring_iova = span 4096 in
+    let buffers = Array.init 64 (fun _ -> (span 2048, 2048)) in
+    match Atmo_drivers.Ixgbe.setup_rx nic ~ring_iova ~buffers with
     | Error _ -> None
-    | Ok pt ->
-      let page () =
-        match Atmo_pmem.Page_alloc.alloc_4k alloc ~purpose:Atmo_pmem.Page_alloc.User with
-        | Some a -> a
-        | None -> 0
-      in
-      let map_identity addr =
-        ignore (Atmo_pt.Page_table.map_4k pt ~vaddr:addr ~frame:addr ~perm:Pte.perm_rw)
-      in
-      let ring_page = page () in
-      let bufs = Array.init 64 (fun _ -> page ()) in
-      map_identity ring_page;
-      Array.iter map_identity bufs;
-      Atmo_hw.Iommu.attach iommu ~device:0 ~root:(Atmo_pt.Page_table.cr3 pt);
-      let nic = Atmo_drivers.Ixgbe.create mem iommu ~device:0 ~clock ~cost in
-      (match
-         Atmo_drivers.Ixgbe.setup_rx nic ~ring_iova:ring_page
-           ~buffers:(Array.map (fun a -> (a, 2048)) bufs)
-       with
-       | Error _ -> None
-       | Ok () ->
-         let flow = Atmo_net.Packet.flow_of_ints ~src:1 ~dst:2 ~sport:1000 ~dport:53 in
-         let received = ref 0 in
-         let t0 = Unix.gettimeofday () in
-         for _ = 1 to frames do
-           ignore
-             (Atmo_drivers.Ixgbe.wire_deliver nic
-                (Atmo_net.Packet.build flow ~payload:(Bytes.make 22 'x')));
-           received := !received + List.length (Atmo_drivers.Ixgbe.rx_burst nic ~max:32)
-         done;
-         Some (!received, frames, Unix.gettimeofday () -. t0))
+    | Ok () ->
+      let flow = Atmo_net.Packet.flow_of_ints ~src:1 ~dst:2 ~sport:1000 ~dport:53 in
+      let received = ref 0 in
+      let t0 = now_ns () in
+      for _ = 1 to frames do
+        ignore
+          (Atmo_drivers.Ixgbe.wire_deliver nic
+             (Atmo_net.Packet.build flow ~payload:(Bytes.make 22 'x')));
+        received := !received + List.length (Atmo_drivers.Ixgbe.rx_burst nic ~max:32)
+      done;
+      Some (!received, frames, float_of_int (now_ns () - t0) /. 1e9)
   in
   Tlb.set_enabled false;
   let fwd_off = forward () in
@@ -957,18 +889,7 @@ let ipc () =
     match Kernel.boot Kernel.default_boot with
     | Error _ -> None
     | Ok (k, init) ->
-      let t2 =
-        match Kernel.step k ~thread:init Syscall.New_thread with
-        | Syscall.Rptr t -> t
-        | _ -> init
-      in
-      (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-       | Syscall.Rptr ep ->
-         Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2
-           (fun th -> Atmo_pm.Thread.set_slot th 0 (Some ep));
-         Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.edpt_perms ~ptr:ep
-           (fun e -> { e with Atmo_pm.Endpoint.refcount = e.Atmo_pm.Endpoint.refcount + 1 })
-       | _ -> ());
+      let t2 = (Worlds.ping_pong k ~init).Worlds.receiver in
       let hist =
         Atmo_obs.Metrics.Histogram.make
           (if fastpath then "bench/ipc_round_fast_ns" else "bench/ipc_round_slow_ns")
@@ -976,17 +897,16 @@ let ipc () =
       let fast0 = counter "ipc/fastpath" and slow0 = counter "ipc/slowpath" in
       (* pass 1: latency only, nothing but the two syscalls in the
          timed region *)
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_ns () in
       for i = 0 to rounds - 1 do
-        let p0 = Unix.gettimeofday () in
+        let p0 = now_ns () in
         ignore (Kernel.step k ~thread:t2 (Syscall.Recv { slot = 0 }));
         ignore
           (Kernel.step k ~thread:init
              (Syscall.Send { slot = 0; msg = Message.scalars_only [ i ] }));
-        Atmo_obs.Metrics.Histogram.observe hist
-          (int_of_float ((Unix.gettimeofday () -. p0) *. 1e9))
+        Atmo_obs.Metrics.Histogram.observe hist (now_ns () - p0)
       done;
-      let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+      let wall_ms = float_of_int (now_ns () - t0) /. 1e6 in
       let fast_hits = counter "ipc/fastpath" - fast0 in
       let slow_hits = counter "ipc/slowpath" - slow0 in
       (* pass 2: map-operation and allocation accounting *)
@@ -1040,36 +960,32 @@ let ipc () =
       ratio_m;
     line "  -> %.2fx fewer map operations, %.2fx fewer minor words per rendezvous send"
       ratio_s ratio_a;
-    let json =
-      Printf.sprintf
-        {|{
-  "bench": "ipc_pingpong",
-  "rounds": %d,
-  "decode_map_ops": %d,
-  "fastpath_off": { "wall_ms": %.3f, "p50_ns": %d, "p90_ns": %d, "p99_ns": %d,
-                    "fastpath_hits": %d, "slowpath_hits": %d,
-                    "round_map_ops": %.2f, "send_map_ops": %.2f,
-                    "send_minor_words": %.1f },
-  "fastpath_on":  { "wall_ms": %.3f, "p50_ns": %d, "p90_ns": %d, "p99_ns": %d,
-                    "fastpath_hits": %d, "slowpath_hits": %d,
-                    "round_map_ops": %.2f, "send_map_ops": %.2f,
-                    "send_minor_words": %.1f },
-  "rendezvous_machinery_map_op_reduction": %.3f,
-  "send_map_op_reduction": %.3f,
-  "send_alloc_reduction": %.3f
-}
-|}
-        rounds decode_ops w0 (H.p50 h0) (H.p90 h0) (H.p99 h0) f0 s0 (per rb0)
-        (per sb0)
-        (sa0 /. float_of_int rounds)
-        w1 (H.p50 h1) (H.p90 h1) (H.p99 h1) f1 s1 (per rb1) (per sb1)
-        (sa1 /. float_of_int rounds)
-        ratio_m ratio_s ratio_a
+    let num x = J.Num x and int x = J.Num (float_of_int x) in
+    let config h w f s rb sb sa =
+      J.Obj
+        [
+          ("wall_ms", num w);
+          ("p50_ns", int (H.p50 h));
+          ("p90_ns", int (H.p90 h));
+          ("p99_ns", int (H.p99 h));
+          ("fastpath_hits", int f);
+          ("slowpath_hits", int s);
+          ("round_map_ops", num (per rb));
+          ("send_map_ops", num (per sb));
+          ("send_minor_words", num (sa /. float_of_int rounds));
+        ]
     in
-    let oc = open_out "BENCH_ipc.json" in
-    output_string oc json;
-    close_out oc;
-    line "  wrote BENCH_ipc.json"
+    write_bench_json "BENCH_ipc.json"
+      [
+        ("bench", J.Str "ipc_pingpong");
+        ("rounds", int rounds);
+        ("decode_map_ops", int decode_ops);
+        ("fastpath_off", config h0 w0 f0 s0 rb0 sb0 sa0);
+        ("fastpath_on", config h1 w1 f1 s1 rb1 sb1 sa1);
+        ("rendezvous_machinery_map_op_reduction", num ratio_m);
+        ("send_map_op_reduction", num ratio_s);
+        ("send_alloc_reduction", num ratio_a);
+      ]
   | _ -> line "ipc workload failed to boot"
 
 (* ------------------------------------------------------------------ *)
@@ -1358,34 +1274,6 @@ let slo () =
 (* ------------------------------------------------------------------ *)
 (* dev: device-backend identity and hostile-mode resilience            *)
 
-(* A standalone DMA environment for a device: private memory, an IOMMU
-   domain over an identity-style page table, and a bump allocator of
-   mapped iova spans. *)
-let mk_dev_env ~device =
-  let mem = Atmo_hw.Phys_mem.create ~page_count:128 in
-  let alloc = Atmo_pmem.Page_alloc.create mem ~reserved_frames:0 in
-  let iommu = Atmo_hw.Iommu.create mem in
-  let pt = Result.get_ok (Atmo_pt.Page_table.create mem alloc) in
-  let next = ref 0x20_0000 in
-  let span bytes =
-    let base = !next in
-    let pages = (bytes + 4095) / 4096 in
-    for i = 0 to pages - 1 do
-      let frame =
-        Option.get (Atmo_pmem.Page_alloc.alloc_4k alloc ~purpose:Atmo_pmem.Page_alloc.User)
-      in
-      match
-        Atmo_pt.Page_table.map_4k pt ~vaddr:(base + (i * 4096)) ~frame ~perm:Pte.perm_rw
-      with
-      | Ok () -> ()
-      | Error _ -> failwith "bench dev: arena map"
-    done;
-    next := base + (pages * 4096);
-    base
-  in
-  Atmo_hw.Iommu.attach iommu ~device ~root:(Atmo_pt.Page_table.cr3 pt);
-  (mem, iommu, span)
-
 (* One NIC behind a first-class interface so the pump is shared. *)
 type nic_iface = {
   nic_deliver : bytes -> bool;
@@ -1402,7 +1290,7 @@ let mk_bench_nic kind =
   match kind with
   | `Ixgbe ->
     let module N = Atmo_drivers.Ixgbe in
-    let mem, iommu, span = mk_dev_env ~device:11 in
+    let mem, iommu, span = Worlds.dma_arena ~page_count:128 ~device:11 in
     let nic = N.create mem iommu ~device:11 ~clock ~cost in
     let buffers = Array.init nic_slots (fun _ -> (span 2048, 2048)) in
     (match N.setup_rx nic ~ring_iova:(span 4096) ~buffers with
@@ -1415,7 +1303,7 @@ let mk_bench_nic kind =
       nic_clock = clock }
   | `Virtio ->
     let module N = Atmo_drivers.Virtio_net in
-    let mem, iommu, span = mk_dev_env ~device:14 in
+    let mem, iommu, span = Worlds.dma_arena ~page_count:128 ~device:14 in
     let nic = N.create mem iommu ~device:14 ~clock ~cost in
     let buffers = Array.init nic_slots (fun _ -> (span 2048, 2048)) in
     (match N.setup_rx nic ~ring_iova:(span 4096) ~buffers with
@@ -1634,9 +1522,7 @@ let smp_build_world () =
                | r -> failwith (Format.asprintf "new_endpoint -> %a" Syscall.pp_ret r)
              in
              List.iter
-               (fun th ->
-                 Atmo_pm.Perm_map.update pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:th
-                   (fun t -> Atmo_pm.Thread.set_slot t 0 (Some ep)))
+               (fun thread -> Atmo_pm.Proc_mgr.share_endpoint pm ~thread ~slot:0 ~endpoint:ep)
                [ receiver; sender ];
              [
                { Atmo_sim.Smp.thread = receiver; think_cycles = smp_think;

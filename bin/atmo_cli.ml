@@ -531,31 +531,12 @@ let monitor_main workload requests slots slo_strs window_cycles windows slow_eve
    the zero-overhead guarantee. *)
 let run_trace_workload k ~init ~iterations =
   let cost = Atmo_sim.Cost.default in
-  let pm = k.Kernel.pm in
-  (* a second thread sharing init's endpoint (the capability a parent
-     would hand a child at spawn) *)
-  let t2 =
-    match Kernel.step k ~thread:init Syscall.New_thread with
-    | Syscall.Rptr t -> t
-    | r -> Fmt.failwith "trace: new_thread -> %a" Syscall.pp_ret r
-  in
-  let ep =
-    match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-    | Syscall.Rptr e -> e
-    | r -> Fmt.failwith "trace: new_endpoint -> %a" Syscall.pp_ret r
-  in
-  Atmo_pm.Perm_map.update pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Atmo_pm.Thread.set_slot th 0 (Some ep));
-  (* phase 1: IPC ping-pong under the big lock; the receiver runs first
-     so sends rendezvous with a waiting receiver (ep_send), and the
-     receiver's first call of each round blocks (ep_block) *)
-  let programs =
-    [
-      { Atmo_sim.Smp.thread = t2; think_cycles = 600;
-        call_of = (fun _ -> Syscall.Recv { slot = 0 }) };
-      { Atmo_sim.Smp.thread = init; think_cycles = 800;
-        call_of = (fun i -> Syscall.Send { slot = 0; msg = Atmo_pm.Message.scalars_only [ i ] }) };
-    ]
+  (* phase 1: IPC ping-pong under the big lock with a second thread
+     sharing init's endpoint; the receiver runs first so sends
+     rendezvous with a waiting receiver (ep_send), and the receiver's
+     first call of each round blocks (ep_block) *)
+  let { Atmo_workloads.Worlds.receiver = t2; programs; _ } =
+    Atmo_workloads.Worlds.ping_pong k ~init
   in
   let stats =
     match Atmo_sim.Smp.run k ~cost ~cpus:2 ~programs ~iterations with
@@ -776,26 +757,9 @@ let pt_of_thread k ~thread =
    CPUs, mmap / superpage / mprotect churn, IOMMU device assignment with
    a DMA window, an NVMe phase — driven with every checker armed. *)
 let run_san_workload k ~init ~iterations =
-  let pm = k.Kernel.pm in
-  let t2 =
-    match locked_step k ~thread:init Syscall.New_thread with
-    | Syscall.Rptr t -> t
-    | r -> Fmt.failwith "san: new_thread -> %a" Syscall.pp_ret r
-  in
-  let ep =
-    match locked_step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-    | Syscall.Rptr e -> e
-    | r -> Fmt.failwith "san: new_endpoint -> %a" Syscall.pp_ret r
-  in
-  Atmo_pm.Perm_map.update pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Atmo_pm.Thread.set_slot th 0 (Some ep));
-  let programs =
-    [
-      { Atmo_sim.Smp.thread = t2; think_cycles = 600;
-        call_of = (fun _ -> Syscall.Recv { slot = 0 }) };
-      { Atmo_sim.Smp.thread = init; think_cycles = 800;
-        call_of = (fun i -> Syscall.Send { slot = 0; msg = Atmo_pm.Message.scalars_only [ i ] }) };
-    ]
+  let { Atmo_workloads.Worlds.receiver = t2; programs; _ } =
+    Lockcheck.locked ~site:"san.harness" ~cpu:0 (fun () ->
+        Atmo_workloads.Worlds.ping_pong k ~init)
   in
   let stats =
     match Atmo_sim.Smp.run k ~cost:Atmo_sim.Cost.default ~cpus:2 ~programs ~iterations with
@@ -843,166 +807,10 @@ let run_san_workload k ~init ~iterations =
   (stats, t2)
 
 (* ------------------------------------------------------------------ *)
-(* Hostile device sweep: all four device models under seeded fault
-   injection.  Every fault the engines emit must be absorbed as a typed
-   error and every ledger must balance at quiescence — Driver_lint runs
-   right after inside [San_runtime.full_check]. *)
+(* Driver plants: each must trip exactly its Driver_lint rule. *)
 
 module Model = Atmo_devmodel.Model
-module Hostile = Atmo_devmodel.Hostile
-module Ixgbe = Atmo_drivers.Ixgbe
-module Virtio_net = Atmo_drivers.Virtio_net
-module Virtio_blk = Atmo_drivers.Virtio_blk
 module Nvme = Atmo_drivers.Nvme
-
-(* A standalone DMA environment: private memory, an IOMMU domain rooted
-   in an identity-style page table, and a bump allocator of mapped iova
-   spans.  Device traffic here cannot touch the workload kernel. *)
-let mk_dev_env ~device =
-  let mem = Phys_mem.create ~page_count:128 in
-  let alloc = Atmo_pmem.Page_alloc.create mem ~reserved_frames:0 in
-  let iommu = Atmo_hw.Iommu.create mem in
-  let pt =
-    match Page_table.create mem alloc with
-    | Ok p -> p
-    | Error _ -> Fmt.failwith "san: device env page table"
-  in
-  let next = ref 0x20_0000 in
-  let span bytes =
-    let base = !next in
-    let pages = (bytes + Phys_mem.page_size - 1) / Phys_mem.page_size in
-    for i = 0 to pages - 1 do
-      let frame =
-        match Atmo_pmem.Page_alloc.alloc_4k alloc ~purpose:Atmo_pmem.Page_alloc.User with
-        | Some f -> f
-        | None -> Fmt.failwith "san: device env out of frames"
-      in
-      match
-        Page_table.map_4k pt ~vaddr:(base + (i * Phys_mem.page_size)) ~frame
-          ~perm:Pte_bits.perm_rw
-      with
-      | Ok () -> ()
-      | Error _ -> Fmt.failwith "san: device env map"
-    done;
-    next := base + (pages * Phys_mem.page_size);
-    base
-  in
-  Atmo_hw.Iommu.attach iommu ~device ~root:(Page_table.cr3 pt);
-  (mem, iommu, span)
-
-let sweep_frame = Bytes.make 96 '\x5a'
-
-let hostile_nic_sweep ~seed ~steps ~kind =
-  let cost = Atmo_sim.Cost.default in
-  let clock = Atmo_hw.Clock.create () in
-  let slots = 8 in
-  let rx drv_rx = ignore (drv_rx ~max:slots) in
-  match kind with
-  | `Ixgbe ->
-    let mem, iommu, span = mk_dev_env ~device:11 in
-    let nic = Ixgbe.create mem iommu ~device:11 ~clock ~cost in
-    let buffers () = Array.init slots (fun _ -> (span 2048, 2048)) in
-    (match Ixgbe.setup_rx nic ~ring_iova:(span Phys_mem.page_size) ~buffers:(buffers ()) with
-     | Ok () -> ()
-     | Error e -> Fmt.failwith "san: ixgbe setup: %s" (Atmo_devmodel.Fault.error_to_string e));
-    (match Ixgbe.setup_tx nic ~ring_iova:(span Phys_mem.page_size) ~buffers:(buffers ()) with
-     | Ok () -> ()
-     | Error e -> Fmt.failwith "san: ixgbe setup: %s" (Atmo_devmodel.Fault.error_to_string e));
-    Ixgbe.set_hostile nic (Some (Hostile.create ~seed ()));
-    for i = 1 to steps do
-      ignore (Ixgbe.wire_deliver nic sweep_frame);
-      rx (Ixgbe.rx_burst nic);
-      if i mod 4 = 0 then begin
-        ignore (Ixgbe.tx_burst nic [ sweep_frame ]);
-        ignore (Ixgbe.wire_collect nic)
-      end
-    done;
-    Ixgbe.set_hostile nic None;
-    for _ = 1 to 4 do rx (Ixgbe.rx_burst nic) done;
-    Ixgbe.error_count nic
-  | `Virtio ->
-    let mem, iommu, span = mk_dev_env ~device:14 in
-    let nic = Virtio_net.create mem iommu ~device:14 ~clock ~cost in
-    let buffers () = Array.init slots (fun _ -> (span 2048, 2048)) in
-    (match Virtio_net.setup_rx nic ~ring_iova:(span Phys_mem.page_size) ~buffers:(buffers ()) with
-     | Ok () -> ()
-     | Error e -> Fmt.failwith "san: virtio-net setup: %s" (Atmo_devmodel.Fault.error_to_string e));
-    (match Virtio_net.setup_tx nic ~ring_iova:(span Phys_mem.page_size) ~buffers:(buffers ()) with
-     | Ok () -> ()
-     | Error e -> Fmt.failwith "san: virtio-net setup: %s" (Atmo_devmodel.Fault.error_to_string e));
-    Virtio_net.set_hostile nic (Some (Hostile.create ~seed ()));
-    for i = 1 to steps do
-      ignore (Virtio_net.wire_deliver nic sweep_frame);
-      rx (Virtio_net.rx_burst nic);
-      if i mod 4 = 0 then begin
-        ignore (Virtio_net.tx_burst nic [ sweep_frame ]);
-        ignore (Virtio_net.wire_collect nic)
-      end
-    done;
-    Virtio_net.set_hostile nic None;
-    for _ = 1 to 4 do rx (Virtio_net.rx_burst nic) done;
-    Virtio_net.error_count nic
-
-let hostile_blk_sweep ~seed ~steps ~kind =
-  let cost = Atmo_sim.Cost.default in
-  let clock = Atmo_hw.Clock.create () in
-  let block = Bytes.make Nvme.block_bytes 'b' in
-  match kind with
-  | `Nvme ->
-    let dev = Nvme.create ~clock ~cost ~capacity_blocks:256 in
-    Nvme.set_device dev 12;
-    Nvme.set_hostile dev (Some (Hostile.create ~seed ()));
-    for i = 1 to steps do
-      let lba = i mod 256 in
-      (match
-         if i mod 3 = 0 then Result.map ignore (Nvme.submit_write dev ~lba ~data:block)
-         else Result.map ignore (Nvme.submit_read dev ~lba)
-       with
-       | Ok () -> ()
-       | Error _ -> ignore (Nvme.wait_all dev));
-      if i mod 8 = 0 then ignore (Nvme.poll dev)
-    done;
-    ignore (Nvme.wait_all dev);
-    Nvme.set_hostile dev None;
-    ignore (Nvme.wait_all dev);
-    Nvme.error_count dev
-  | `Virtio ->
-    let mem, iommu, span = mk_dev_env ~device:13 in
-    let dev = Virtio_blk.create mem iommu ~device:13 ~clock ~cost ~capacity_blocks:256 in
-    let depth = 16 in
-    let _, _, _, ring_bytes = Atmo_drivers.Virtio_ring.layout ~qsz:(3 * depth) ~base:0 in
-    let ring_iova = span ring_bytes in
-    let arena_iova = span (depth * Virtio_blk.slot_bytes) in
-    (match Virtio_blk.setup dev ~ring_iova ~arena_iova ~depth with
-     | Ok () -> ()
-     | Error e -> Fmt.failwith "san: virtio-blk setup: %s" (Atmo_devmodel.Fault.error_to_string e));
-    Virtio_blk.set_hostile dev (Some (Hostile.create ~seed ()));
-    for i = 1 to steps do
-      let lba = i mod 256 in
-      (match
-         if i mod 3 = 0 then Result.map ignore (Virtio_blk.submit_write dev ~lba ~data:block)
-         else Result.map ignore (Virtio_blk.submit_read dev ~lba)
-       with
-       | Ok () -> ()
-       | Error _ -> ignore (Virtio_blk.wait_all dev));
-      if i mod 8 = 0 then ignore (Virtio_blk.poll dev)
-    done;
-    ignore (Virtio_blk.wait_all dev);
-    Virtio_blk.set_hostile dev None;
-    ignore (Virtio_blk.wait_all dev);
-    Virtio_blk.error_count dev
-
-let run_hostile_sweep ~seed ~steps =
-  let absorbed =
-    hostile_nic_sweep ~seed ~steps ~kind:`Ixgbe
-    + hostile_nic_sweep ~seed:(seed + 1) ~steps ~kind:`Virtio
-    + hostile_blk_sweep ~seed:(seed + 2) ~steps ~kind:`Nvme
-    + hostile_blk_sweep ~seed:(seed + 3) ~steps ~kind:`Virtio
-  in
-  absorbed
-
-(* ------------------------------------------------------------------ *)
-(* Driver plants: each must trip exactly its Driver_lint rule. *)
 
 let plant_undefined_state k =
   (match Model.find ~device:7 with
@@ -1259,7 +1067,7 @@ let san plant iterations seed =
   | Ok (k, init) ->
     San_runtime.attach k;
     let stats, t2 = run_san_workload k ~init ~iterations in
-    let absorbed = run_hostile_sweep ~seed ~steps:200 in
+    let absorbed = Atmo_workloads.Worlds.hostile_sweep ~seed ~steps:200 in
     let structural = San_runtime.full_check k in
     let clean_count = San_report.count () in
     Format.printf

@@ -485,10 +485,7 @@ let deliver t ~sender ~receiver ~(msg : Message.t) =
     (match edpt_grant with
      | None -> ()
      | Some (g, ep) ->
-       Perm_map.update t.pm.Proc_mgr.thrd_perms ~ptr:receiver (fun th ->
-           Thread.set_slot th g.Message.dst_slot (Some ep));
-       Perm_map.update t.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-           { e with Endpoint.refcount = e.Endpoint.refcount + 1 }));
+       Proc_mgr.share_endpoint t.pm ~thread:receiver ~slot:g.Message.dst_slot ~endpoint:ep);
     Ok ()
   end
 

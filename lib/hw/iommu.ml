@@ -66,11 +66,6 @@ let iotlb_invlpg t ~device ~iova =
   | None -> ()
   | Some tlb -> Tlb.invalidate_page tlb ~vaddr:iova
 
-let iotlb_flush t ~device =
-  match Hashtbl.find_opt t.iotlbs device with
-  | None -> ()
-  | Some tlb -> Tlb.flush tlb
-
 let iter_iotlbs t f = Hashtbl.iter (fun device tlb -> f ~device tlb) t.iotlbs
 
 (* The IOTLB is deliberately NOT reached by CPU-side shootdowns (the

@@ -54,9 +54,6 @@ val iotlb_invlpg : t -> device:int -> iova:int -> unit
 (** Invalidate the IOTLB entry (if any) for one I/O virtual page — the
     invalidation-queue command the kernel queues after an IOMMU unmap. *)
 
-val iotlb_flush : t -> device:int -> unit
-(** Drop every cached translation of the device's IOTLB. *)
-
 val iter_iotlbs : t -> (device:int -> Tlb.t -> unit) -> unit
 (** Iterate live IOTLBs (coherence lint uses this). *)
 

@@ -50,14 +50,6 @@ val insert : t -> vaddr:int -> frame:int -> size:int -> perm:Pte_bits.perm -> un
 val invalidate_page : t -> vaddr:int -> unit
 (** invlpg: drop the entry for [vaddr]'s page, if cached. *)
 
-val invalidate_range : t -> vaddr:int -> bytes:int -> unit
-(** Precise per-page invalidation of a span, falling back to {!flush}
-    past the precision threshold (superpage spans), like a cr3 write. *)
-
-val invalidate_frames : t -> lo:int -> hi:int -> unit
-(** Drop every entry whose backing physical range intersects
-    [\[lo, hi)] — used when the allocator reshapes physical blocks. *)
-
 val flush : t -> unit
 (** Drop every entry; emits a [Tlb_flush] event when tracing. *)
 

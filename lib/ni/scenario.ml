@@ -3,9 +3,6 @@ module Kernel = Atmo_core.Kernel
 module Abstraction = Atmo_core.Abstraction
 module Syscall = Atmo_spec.Syscall
 module Proc_mgr = Atmo_pm.Proc_mgr
-module Perm_map = Atmo_pm.Perm_map
-module Thread = Atmo_pm.Thread
-module Endpoint = Atmo_pm.Endpoint
 
 type t = {
   kernel : Kernel.t;
@@ -31,15 +28,6 @@ let ptr_of what = function
   | Syscall.Rptr p -> Ok p
   | r -> errf "%s: %a" what Syscall.pp_ret r
 
-(* Trusted boot wiring: copy an endpoint descriptor into a thread's
-   slot, bumping the reference count — the initial capability
-   configuration that exists before the measured trace. *)
-let install_descriptor k ~thread ~slot ~endpoint =
-  Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:thread (fun th ->
-      Thread.set_slot th slot (Some endpoint));
-  Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:endpoint (fun e ->
-      { e with Endpoint.refcount = e.Endpoint.refcount + 1 })
-
 let build ?(boot = Kernel.default_boot) ?(quota_a = 256) ?(quota_b = 256) ?(quota_v = 128)
     () =
   let* k, init = of_errno "boot" (Kernel.boot boot) in
@@ -64,8 +52,10 @@ let build ?(boot = Kernel.default_boot) ?(quota_a = 256) ?(quota_b = 256) ?(quot
   let* ep_bv =
     ptr_of "ep_bv" (Kernel.step k ~thread:v_thread (Syscall.New_endpoint { slot = 1 }))
   in
-  install_descriptor k ~thread:a_thread ~slot:0 ~endpoint:ep_av;
-  install_descriptor k ~thread:b_thread ~slot:0 ~endpoint:ep_bv;
+  (* trusted boot wiring: the initial capability configuration that
+     exists before the measured trace *)
+  Proc_mgr.share_endpoint k.Kernel.pm ~thread:a_thread ~slot:0 ~endpoint:ep_av;
+  Proc_mgr.share_endpoint k.Kernel.pm ~thread:b_thread ~slot:0 ~endpoint:ep_bv;
   let t =
     {
       kernel = k;

@@ -58,4 +58,3 @@ val edges_within : t -> int list -> edge list
 (** Edges with both endpoints inside the given span-id set. *)
 
 val pp_kind_table : Format.formatter -> t -> unit
-val pp_tree : Format.formatter -> t -> unit

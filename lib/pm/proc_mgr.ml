@@ -349,6 +349,18 @@ let new_endpoint t ~thread ~slot =
           Thread.set_slot th slot (Some page));
       Ok page
 
+(* The one capability handoff: name [endpoint] in [thread]'s [slot] and
+   count the new holder.  Trusted setup and the IPC endpoint grant both
+   come through here, so "refcount = slots naming it" holds by
+   construction; {!drop_endpoint_ref} is the inverse. *)
+let share_endpoint t ~thread ~slot ~endpoint =
+  Perm_map.update t.thrd_perms ~ptr:thread (fun th ->
+      if Thread.slot th slot <> None then
+        invalid_arg "Proc_mgr.share_endpoint: slot already occupied";
+      Thread.set_slot th slot (Some endpoint));
+  Perm_map.update t.edpt_perms ~ptr:endpoint (fun e ->
+      { e with Endpoint.refcount = e.Endpoint.refcount + 1 })
+
 let drop_endpoint_ref t ~endpoint =
   let e = Perm_map.borrow t.edpt_perms ~ptr:endpoint in
   if e.Endpoint.refcount > 1 then begin
@@ -453,8 +465,6 @@ let preempt_current t = preempt_on t ~cpu:t.cur_cpu
 
 let run_queue_list t =
   Array.to_list t.queues |> List.concat_map Sched_queue.to_list
-
-let queue_lists t = Array.map Sched_queue.to_list t.queues
 
 (* ------------------------------------------------------------------ *)
 (* Termination                                                         *)

@@ -91,6 +91,13 @@ val new_endpoint : t -> thread:int -> slot:int -> (int, Atmo_util.Errno.t) resul
 (** Create an endpoint and install it in a free descriptor slot of
     [thread]. *)
 
+val share_endpoint : t -> thread:int -> slot:int -> endpoint:int -> unit
+(** The only capability handoff: install the live [endpoint] in
+    [thread]'s free [slot] and bump its reference count, so every slot
+    naming an endpoint is counted.  Used by the IPC endpoint grant and
+    by trusted setup (boot wiring, harness worlds).  Raises
+    [Invalid_argument] if the slot is occupied or out of range. *)
+
 val close_endpoint_slot : t -> thread:int -> slot:int -> (unit, Atmo_util.Errno.t) result
 (** Drop the descriptor; frees the endpoint page when the last reference
     disappears ([Ebusy] if threads are still blocked on it). *)
@@ -187,9 +194,6 @@ val run_queue_list : t -> int list
     not for hot paths).  With one CPU this is exactly the old global
     run-queue list. *)
 
-val queue_lists : t -> int list array
-(** Per-CPU queue contents, for the census lint and oracle digests. *)
-
 val steal_ledger : t -> (int * int * int) list
 (** Recent (thief, victim, thread) steals, newest first. *)
 
@@ -202,15 +206,8 @@ val set_lost_steal_plant : t -> bool -> unit
 val container_of_proc : t -> proc:int -> int
 val container_of_thread : t -> thread:int -> int
 
-val subtree_containers : t -> container:int -> Atmo_util.Iset.t
-(** The container and all its descendants (uses the ghost subtree). *)
-
 val procs_of_subtree : t -> container:int -> Atmo_util.Iset.t
 val threads_of_subtree : t -> container:int -> Atmo_util.Iset.t
-
-val object_pages : t -> Atmo_util.Iset.t
-(** Pages holding kernel objects: the union of the four permission-map
-    domains. *)
 
 val page_closure : t -> Atmo_util.Iset.t
 (** The process manager's page closure: object pages plus the page-table

@@ -30,10 +30,6 @@ val ghost_wf : Page_table.t -> (unit, string) result
     virtual bases in each ghost map, and the virtual ranges of all
     mappings (across the three sizes) are pairwise disjoint. *)
 
-val closure_disjoint : Page_table.t -> (unit, string) result
-(** The table pages (page_closure) are disjoint from the mapped frames —
-    a mapping must never expose the page table's own memory. *)
-
 val all : Page_table.t -> (unit, string) result
 (** Conjunction of every obligation above, first failure wins. *)
 

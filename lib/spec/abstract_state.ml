@@ -128,15 +128,7 @@ let equal a b =
   && Iset.equal a.merged b.merged
   && Imap.equal equal_adevice a.devices b.devices
 
-let thread_dom t = Imap.dom t.threads
 let proc_dom t = Imap.dom t.procs
-let container_dom t = Imap.dom t.containers
-let endpoint_dom t = Imap.dom t.endpoints
-
-let get_thread t p = Imap.find p t.threads
-let get_proc t p = Imap.find p t.procs
-let get_container t p = Imap.find p t.containers
-let get_endpoint t p = Imap.find p t.endpoints
 
 let get_address_space t ~proc =
   match Imap.find_opt proc t.procs with
@@ -152,8 +144,8 @@ let container_of_thread t ~thread =
   | Some p ->
     Option.map (fun pr -> pr.ap_owner_container) (Imap.find_opt p t.procs)
 
-let free_pages t = Iset.union_list [ t.free_4k; t.free_2m; t.free_1g ]
-let page_is_free t page = Iset.mem page (free_pages t)
+let page_is_free t page =
+  Iset.mem page t.free_4k || Iset.mem page t.free_2m || Iset.mem page t.free_1g
 
 let unchanged_except eq m m' touched = Imap.same_on_complement ~eq m m' touched
 
@@ -183,17 +175,6 @@ let memory_unchanged a b =
 
 let devices_unchanged_except a b s =
   unchanged_except equal_adevice a.devices b.devices s
-
-let observation_containers t ~root =
-  match Imap.find_opt root t.containers with
-  | None -> Imap.empty
-  | Some c ->
-    Iset.fold
-      (fun p acc ->
-        match Imap.find_opt p t.containers with
-        | Some cc -> Imap.add p cc acc
-        | None -> acc)
-      (Iset.add root c.ac_subtree) Imap.empty
 
 let pp ppf t =
   Format.fprintf ppf

@@ -80,15 +80,7 @@ val equal : t -> t -> bool
 
 (** {2 Accessors (the paper's Ψ.get_* spec functions)} *)
 
-val thread_dom : t -> Atmo_util.Iset.t
 val proc_dom : t -> Atmo_util.Iset.t
-val container_dom : t -> Atmo_util.Iset.t
-val endpoint_dom : t -> Atmo_util.Iset.t
-
-val get_thread : t -> int -> athread
-val get_proc : t -> int -> aproc
-val get_container : t -> int -> acontainer
-val get_endpoint : t -> int -> aendpoint
 
 val get_address_space : t -> proc:int -> Atmo_pt.Page_table.entry Atmo_util.Imap.t
 (** Abstract address space of a process (empty for dead pointers). *)
@@ -98,8 +90,6 @@ val container_of_thread : t -> thread:int -> int option
 
 val page_is_free : t -> int -> bool
 (** The paper's [page_is_free]: the frame is in one of the free sets. *)
-
-val free_pages : t -> Atmo_util.Iset.t
 
 (** {2 Frame-condition helpers} *)
 
@@ -120,10 +110,6 @@ val memory_unchanged : t -> t -> bool
 (** All four allocator sets are equal. *)
 
 val devices_unchanged_except : t -> t -> Atmo_util.Iset.t -> bool
-
-val observation_containers : t -> root:int -> acontainer Atmo_util.Imap.t
-(** Containers of the subtree rooted at [root] (inclusive) — building
-    block of the noninterference observation function. *)
 
 val pp : Format.formatter -> t -> unit
 (** Terse multi-line summary (object counts, allocator totals). *)

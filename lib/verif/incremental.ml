@@ -143,9 +143,6 @@ let audit () =
           if expected <> observed then Some (id, expected, observed) else None)
       audited
 
-let cached_verdicts () =
-  match !active with None -> 0 | Some t -> Hashtbl.length t.cache
-
 let run ?(threads = 1) obls =
   match !active with
   | None -> Runner.run ~threads obls

@@ -66,8 +66,6 @@ val audit : unit -> (string * int * int) list
     mutation count disagrees with what the tracker observed;
     empty when nothing is armed or nothing was missed. *)
 
-val cached_verdicts : unit -> int
-
 val run : ?threads:int -> Obligation.t list -> Runner.report
 (** Incremental discharge against the armed tracker: re-check
     obligations whose read set intersects the dirty set (or that are

@@ -314,25 +314,7 @@ let register a =
 
 let annotations () = builtins @ !registered
 
-let by_target () =
-  let tbl = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun a ->
-      if not (Hashtbl.mem tbl a.target) then order := a.target :: !order;
-      Hashtbl.replace tbl a.target
-        (a :: Option.value ~default:[] (Hashtbl.find_opt tbl a.target)))
-    (annotations ());
-  List.rev_map (fun t -> (t, List.rev (Hashtbl.find tbl t))) !order
-
 let obligation_of k a =
   Obligation.make ~reads:a.reads ~name:a.name ~group:a.group (fun () -> a.check k)
 
 let obligations k = List.map (obligation_of k) (annotations ())
-
-let reads_of ~name =
-  List.find_map (fun a -> if a.name = name then Some a.reads else None) (annotations ())
-
-let pp_annotation ppf a =
-  Format.fprintf ppf "@[<v2>%s  [%s]@,%s@,reads: %s@]" a.name a.target a.predicate
-    (String.concat ", " a.reads)

@@ -33,15 +33,7 @@ val register : annotation -> unit
 val annotations : unit -> annotation list
 (** Builtins followed by registrations. *)
 
-val by_target : unit -> (string * annotation list) list
-(** Stable grouping by annotated container. *)
-
 val obligations : Atmo_core.Kernel.t -> Obligation.t list
 (** One obligation per annotation, bound to [k], each tagged with its
     read set.  Replaces the hand-enumerated kernel-world entries of
     {!Catalog}. *)
-
-val reads_of : name:string -> string list option
-(** Read set of the named annotation, if any. *)
-
-val pp_annotation : Format.formatter -> annotation -> unit

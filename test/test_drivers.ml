@@ -16,26 +16,14 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let cost = Cost.default
 
-(* A driver environment: memory, identity-mapped page table attached to
-   the IOMMU as device 0, a descriptor ring page and N buffer pages. *)
+(* A driver environment: a DMA arena attached to the IOMMU as device 0,
+   a descriptor ring page and N mapped buffers. *)
 let mk_env ?(bufs = 8) () =
-  let mem = Phys_mem.create ~page_count:256 in
-  let alloc = Page_alloc.create mem ~reserved_frames:0 in
-  let iommu = Iommu.create mem in
   let clock = Clock.create () in
-  let pt = Result.get_ok (Page_table.create mem alloc) in
-  let page () =
-    let a = Option.get (Page_alloc.alloc_4k alloc ~purpose:Page_alloc.User) in
-    (match Page_table.map_4k pt ~vaddr:a ~frame:a ~perm:Pte.perm_rw with
-     | Ok () -> ()
-     | Error _ -> Alcotest.fail "map");
-    a
-  in
-  let ring = page () in
-  let buffers = Array.init bufs (fun _ -> (page (), 2048)) in
-  Iommu.attach iommu ~device:0 ~root:(Page_table.cr3 pt);
-  let nic = Ixgbe.create mem iommu ~device:0 ~clock ~cost in
-  (mem, iommu, clock, nic, ring, buffers)
+  let mem, iommu, span = Atmo_workloads.Worlds.dma_arena ~page_count:256 ~device:0 in
+  let ring = span Phys_mem.page_size in
+  let buffers = Array.init bufs (fun _ -> (span 2048, 2048)) in
+  (clock, Ixgbe.create mem iommu ~device:0 ~clock ~cost, ring, buffers)
 
 let frame_of_text text =
   Packet.build
@@ -46,7 +34,7 @@ let frame_of_text text =
 (* Ixgbe                                                               *)
 
 let test_rx_path () =
-  let _, _, _, nic, ring, buffers = mk_env () in
+  let _, nic, ring, buffers = mk_env () in
   (match Ixgbe.setup_rx nic ~ring_iova:ring ~buffers with
    | Ok () -> ()
    | Error m -> Alcotest.fail (Atmo_devmodel.Fault.error_to_string m));
@@ -60,7 +48,7 @@ let test_rx_path () =
    | l -> Alcotest.failf "expected 2 frames, got %d" (List.length l))
 
 let test_rx_ring_wraps () =
-  let _, _, _, nic, ring, buffers = mk_env ~bufs:4 () in
+  let _, nic, ring, buffers = mk_env ~bufs:4 () in
   (match Ixgbe.setup_rx nic ~ring_iova:ring ~buffers with
    | Ok () -> ()
    | Error m -> Alcotest.fail (Atmo_devmodel.Fault.error_to_string m));
@@ -74,7 +62,7 @@ let test_rx_ring_wraps () =
   checki "no drops" 0 (Ixgbe.rx_drops nic)
 
 let test_rx_overflow_drops () =
-  let _, _, _, nic, ring, buffers = mk_env ~bufs:2 () in
+  let _, nic, ring, buffers = mk_env ~bufs:2 () in
   (match Ixgbe.setup_rx nic ~ring_iova:ring ~buffers with
    | Ok () -> ()
    | Error m -> Alcotest.fail (Atmo_devmodel.Fault.error_to_string m));
@@ -129,7 +117,7 @@ let test_rx_unmapped_buffer_drops () =
     (Bytes.equal (Phys_mem.blit_from mem ~addr:evil ~len:64) (Bytes.make 64 '\000'))
 
 let test_tx_path () =
-  let _, _, _, nic, ring, buffers = mk_env () in
+  let _, nic, ring, buffers = mk_env () in
   (match Ixgbe.setup_tx nic ~ring_iova:ring ~buffers with
    | Ok () -> ()
    | Error m -> Alcotest.fail (Atmo_devmodel.Fault.error_to_string m));
@@ -143,7 +131,7 @@ let test_tx_path () =
   checkb "wire drained" true (Ixgbe.wire_collect nic = [])
 
 let test_driver_cycles_charged () =
-  let _, _, clock, nic, ring, buffers = mk_env () in
+  let clock, nic, ring, buffers = mk_env () in
   (match Ixgbe.setup_rx nic ~ring_iova:ring ~buffers with
    | Ok () -> ()
    | Error m -> Alcotest.fail (Atmo_devmodel.Fault.error_to_string m));

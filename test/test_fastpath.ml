@@ -15,7 +15,6 @@ module Abstraction = Atmo_core.Abstraction
 module A = Atmo_spec.Abstract_state
 module Message = Atmo_pm.Message
 module Thread = Atmo_pm.Thread
-module Endpoint = Atmo_pm.Endpoint
 module Perm_map = Atmo_pm.Perm_map
 module Proc_mgr = Atmo_pm.Proc_mgr
 module Sched_queue = Atmo_pm.Sched_queue
@@ -56,11 +55,7 @@ let world () =
     | None -> Alcotest.fail "endpoint slot empty"
   in
   List.iter
-    (fun t ->
-      Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t (fun th ->
-          Thread.set_slot th 0 (Some ep));
-      Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-          { e with Endpoint.refcount = e.Endpoint.refcount + 1 }))
+    (fun thread -> Proc_mgr.share_endpoint k.Kernel.pm ~thread ~slot:0 ~endpoint:ep)
     [ t2; t3 ];
   (k, [| init; t2; t3 |])
 

@@ -161,13 +161,8 @@ let test_ipc_rendezvous () =
    | r -> Alcotest.failf "send should block (no receiver): %a" Syscall.pp_ret r);
   expect_wf k;
   (* t2 has no descriptor yet: give it one by kernel-internal setup *)
-  Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Thread.set_slot th 1
-        (Thread.slot (Perm_map.borrow k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:init) 0));
   (match Thread.slot (Perm_map.borrow k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:init) 0 with
-   | Some ep ->
-     Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-         { e with Atmo_pm.Endpoint.refcount = e.Atmo_pm.Endpoint.refcount + 1 })
+   | Some endpoint -> Proc_mgr.share_endpoint k.Kernel.pm ~thread:t2 ~slot:1 ~endpoint
    | None -> Alcotest.fail "no endpoint");
   expect_wf k;
   (match step k ~thread:t2 (Syscall.Recv { slot = 1 }) with
@@ -194,10 +189,7 @@ let test_ipc_page_grant () =
     | Error e -> Alcotest.failf "t2: %a" Errno.pp e
   in
   let ep = ptr "ep" (step k ~thread:init (Syscall.New_endpoint { slot = 0 })) in
-  Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Thread.set_slot th 0 (Some ep));
-  Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-      { e with Atmo_pm.Endpoint.refcount = e.Atmo_pm.Endpoint.refcount + 1 });
+  Proc_mgr.share_endpoint k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
   expect_wf k;
   (* receiver blocks first, then sender grants its page *)
   (match step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
@@ -233,10 +225,7 @@ let test_ipc_endpoint_grant () =
   in
   let ep = ptr "ep" (step k ~thread:init (Syscall.New_endpoint { slot = 0 })) in
   let ep2 = ptr "ep2" (step k ~thread:init (Syscall.New_endpoint { slot = 1 })) in
-  Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Thread.set_slot th 0 (Some ep));
-  Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-      { e with Atmo_pm.Endpoint.refcount = e.Atmo_pm.Endpoint.refcount + 1 });
+  Proc_mgr.share_endpoint k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
   (match step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
    | Syscall.Rblocked -> ()
    | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);

@@ -393,10 +393,7 @@ let test_san_fastpath_skip () =
   let ep =
     Option.get (Thread.slot (Perm_map.borrow k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:init) 0)
   in
-  Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Thread.set_slot th 0 (Some ep));
-  Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-      { e with Endpoint.refcount = e.Endpoint.refcount + 1 });
+  Proc_mgr.share_endpoint k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
   (match Kernel.step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
    | Syscall.Rblocked -> ()
    | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);
@@ -440,10 +437,7 @@ let test_san_span_leak () =
   let ep =
     Option.get (Thread.slot (Perm_map.borrow k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:init) 0)
   in
-  Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-      Thread.set_slot th 0 (Some ep));
-  Perm_map.update k.Kernel.pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-      { e with Endpoint.refcount = e.Endpoint.refcount + 1 });
+  Proc_mgr.share_endpoint k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
   (match Kernel.step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
    | Syscall.Rblocked -> ()
    | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);

@@ -253,28 +253,37 @@ let run_workload () =
   match Kernel.boot Kernel.default_boot with
   | Error e -> Alcotest.failf "boot: %s" (Fmt.to_to_string Errno.pp e)
   | Ok (k, init) ->
-    let t2 =
-      match Kernel.step k ~thread:init Syscall.New_thread with
-      | Syscall.Rptr t -> t
-      | _ -> Alcotest.fail "new_thread"
-    in
-    (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-     | Syscall.Rptr ep ->
-       Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-           Atmo_pm.Thread.set_slot th 0 (Some ep))
-     | _ -> Alcotest.fail "new_endpoint");
-    let programs =
-      [
-        { Atmo_sim.Smp.thread = t2; think_cycles = 600;
-          call_of = (fun _ -> Syscall.Recv { slot = 0 }) };
-        { Atmo_sim.Smp.thread = init; think_cycles = 800;
-          call_of =
-            (fun i -> Syscall.Send { slot = 0; msg = Atmo_pm.Message.scalars_only [ i ] }) };
-      ]
-    in
+    let { Atmo_workloads.Worlds.programs; _ } = Atmo_workloads.Worlds.ping_pong k ~init in
     (match Atmo_sim.Smp.run k ~cost:Atmo_sim.Cost.default ~cpus:2 ~programs ~iterations:50 with
      | Ok s -> (s, Atmo_core.Abstraction.abstract k)
      | Error msg -> Alcotest.failf "smp: %s" msg)
+
+(* The shared ping-pong world is well formed as built: the handoff
+   counts the receiver's slot, so total_wf (refcount = holders) holds
+   before and after the workload runs over it. *)
+let test_ping_pong_world_wf () =
+  match Kernel.boot Kernel.default_boot with
+  | Error e -> Alcotest.failf "boot: %s" (Fmt.to_to_string Errno.pp e)
+  | Ok (k, init) ->
+    let w = Atmo_workloads.Worlds.ping_pong k ~init in
+    let wf what =
+      match Atmo_core.Invariants.total_wf k with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: %s" what msg
+    in
+    wf "after setup";
+    let e =
+      Atmo_pm.Perm_map.borrow k.Kernel.pm.Atmo_pm.Proc_mgr.edpt_perms
+        ~ptr:w.Atmo_workloads.Worlds.endpoint
+    in
+    Alcotest.(check int) "init and receiver both counted" 2 e.Atmo_pm.Endpoint.refcount;
+    (match
+       Atmo_sim.Smp.run k ~cost:Atmo_sim.Cost.default ~cpus:2
+         ~programs:w.Atmo_workloads.Worlds.programs ~iterations:20
+     with
+     | Ok _ -> ()
+     | Error msg -> Alcotest.failf "smp: %s" msg);
+    wf "after the run"
 
 let test_disabled_sink_is_bit_identical () =
   Sink.install Sink.Disabled;
@@ -536,6 +545,7 @@ let () =
         ] );
       ( "sink",
         [
+          Alcotest.test_case "ping-pong world well formed" `Quick test_ping_pong_world_wf;
           Alcotest.test_case "disabled sink is bit-identical" `Quick
             test_disabled_sink_is_bit_identical;
           Alcotest.test_case "disabled sink records nothing" `Quick

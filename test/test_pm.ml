@@ -208,6 +208,37 @@ let test_endpoint_lifecycle () =
   checkb "endpoint freed" false (Perm_map.mem pm.Proc_mgr.edpt_perms ~ptr:ep);
   expect_wf pm
 
+(* share_endpoint and close_endpoint_slot are inverses: each handoff
+   counts one holder, each close drops one, and the endpoint lives until
+   the last holder closes. *)
+let test_share_close_round_trip () =
+  let pm = mk_pm () in
+  let root = pm.Proc_mgr.root_container in
+  let p = expect "proc" (Proc_mgr.new_process pm ~container:root ~parent:None) in
+  let owner = expect "owner" (Proc_mgr.new_thread pm ~proc:p) in
+  let peer = expect "peer" (Proc_mgr.new_thread pm ~proc:p) in
+  let ep = expect "endpoint" (Proc_mgr.new_endpoint pm ~thread:owner ~slot:0) in
+  let rc () = (Perm_map.borrow pm.Proc_mgr.edpt_perms ~ptr:ep).Endpoint.refcount in
+  Proc_mgr.share_endpoint pm ~thread:peer ~slot:2 ~endpoint:ep;
+  Proc_mgr.share_endpoint pm ~thread:owner ~slot:1 ~endpoint:ep;
+  checki "one count per holder" 3 (rc ());
+  expect_wf pm;
+  (try
+     Proc_mgr.share_endpoint pm ~thread:peer ~slot:2 ~endpoint:ep;
+     Alcotest.fail "handoff into an occupied slot accepted"
+   with Invalid_argument _ -> ());
+  checki "refused handoff counts nothing" 3 (rc ());
+  expect "close peer" (Proc_mgr.close_endpoint_slot pm ~thread:peer ~slot:2);
+  checki "round trip restores the count" 2 (rc ());
+  expect_wf pm;
+  expect "close owner 0" (Proc_mgr.close_endpoint_slot pm ~thread:owner ~slot:0);
+  checkb "alive while a holder remains" true (Perm_map.mem pm.Proc_mgr.edpt_perms ~ptr:ep);
+  checki "last holder" 1 (rc ());
+  expect_wf pm;
+  expect "close owner 1" (Proc_mgr.close_endpoint_slot pm ~thread:owner ~slot:1);
+  checkb "freed with its last holder" false (Perm_map.mem pm.Proc_mgr.edpt_perms ~ptr:ep);
+  expect_wf pm
+
 (* ------------------------------------------------------------------ *)
 (* Container termination / revocation                                  *)
 
@@ -252,10 +283,7 @@ let test_surviving_endpoint_harvested () =
   let ath = expect "ath" (Proc_mgr.new_thread pm ~proc:ap) in
   let ep = expect "ep" (Proc_mgr.new_endpoint pm ~thread:ath ~slot:0) in
   (* share it with the root thread (as IPC endpoint-grant would) *)
-  Perm_map.update pm.Proc_mgr.thrd_perms ~ptr:rth (fun th ->
-      Thread.set_slot th 3 (Some ep));
-  Perm_map.update pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-      { e with Endpoint.refcount = e.Endpoint.refcount + 1 });
+  Proc_mgr.share_endpoint pm ~thread:rth ~slot:3 ~endpoint:ep;
   expect_wf pm;
   expect "terminate A" (Proc_mgr.terminate_container pm ~container:a);
   checkb "endpoint survives" true (Perm_map.mem pm.Proc_mgr.edpt_perms ~ptr:ep);
@@ -372,7 +400,10 @@ let () =
           Alcotest.test_case "terminate subtree" `Quick test_terminate_process_subtree;
         ] );
       ( "endpoints",
-        [ Alcotest.test_case "lifecycle" `Quick test_endpoint_lifecycle ] );
+        [
+          Alcotest.test_case "lifecycle" `Quick test_endpoint_lifecycle;
+          Alcotest.test_case "share/close round trip" `Quick test_share_close_round_trip;
+        ] );
       ( "revocation",
         [
           Alcotest.test_case "terminate + harvest" `Quick test_terminate_container_harvest;

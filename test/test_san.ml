@@ -147,31 +147,9 @@ let test_smp_runs_clean_under_lockcheck () =
   with_san ~poison:false ~lockcheck:true (fun () ->
       let k, init = boot () in
       Runtime.attach k;
-      let t2 =
-        match
-          Lockcheck.locked ~site:"test.setup" ~cpu:0 (fun () ->
-              Kernel.step k ~thread:init Syscall.New_thread)
-        with
-        | Syscall.Rptr t -> t
-        | r -> Alcotest.failf "new_thread: %a" Syscall.pp_ret r
-      in
-      let ep =
-        match
-          Lockcheck.locked ~site:"test.setup" ~cpu:0 (fun () ->
-              Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }))
-        with
-        | Syscall.Rptr e -> e
-        | r -> Alcotest.failf "new_endpoint: %a" Syscall.pp_ret r
-      in
-      Perm_map.update k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-          Atmo_pm.Thread.set_slot th 0 (Some ep));
-      let programs =
-        [
-          { Atmo_sim.Smp.thread = t2; think_cycles = 100;
-            call_of = (fun _ -> Syscall.Recv { slot = 0 }) };
-          { Atmo_sim.Smp.thread = init; think_cycles = 100;
-            call_of = (fun i -> Syscall.Send { slot = 0; msg = Atmo_pm.Message.scalars_only [ i ] }) };
-        ]
+      let { Atmo_workloads.Worlds.programs; _ } =
+        Lockcheck.locked ~site:"test.setup" ~cpu:0 (fun () ->
+            Atmo_workloads.Worlds.ping_pong k ~init)
       in
       (match Atmo_sim.Smp.run k ~cost:Atmo_sim.Cost.default ~cpus:2 ~programs ~iterations:20 with
        | Ok _ -> ()

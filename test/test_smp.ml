@@ -7,8 +7,6 @@ module Syscall = Atmo_spec.Syscall
 module Message = Atmo_pm.Message
 module Proc_mgr = Atmo_pm.Proc_mgr
 module Sched_queue = Atmo_pm.Sched_queue
-module Thread = Atmo_pm.Thread
-module Perm_map = Atmo_pm.Perm_map
 module Smp = Atmo_sim.Smp
 module Report = Atmo_san.Report
 module Lockcheck = Atmo_san.Lockcheck
@@ -192,9 +190,7 @@ let ipc_world () =
     | r -> Alcotest.failf "new_endpoint -> %a" Syscall.pp_ret r
   in
   List.iter
-    (fun t ->
-      Perm_map.update pm.Proc_mgr.thrd_perms ~ptr:t (fun th ->
-          Thread.set_slot th 0 (Some ep)))
+    (fun thread -> Proc_mgr.share_endpoint pm ~thread ~slot:0 ~endpoint:ep)
     [ receiver; sender ];
   ( k,
     [

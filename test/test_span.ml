@@ -287,6 +287,27 @@ let test_span_wraparound_decode () =
       Alcotest.(check int) "orphan ends counted as truncated" 2 (Profile.truncated p))
 
 (* ------------------------------------------------------------------ *)
+(* capability accounting: every slot naming an endpoint is counted     *)
+
+let test_kv_refcounts_match_slots () =
+  Sink.install Sink.Disabled;
+  Span.reset ();
+  let a = (Kv_demo.run ~requests:2 ()).Kv_demo.abstract in
+  let module A = Atmo_spec.Abstract_state in
+  let holders ep =
+    Atmo_util.Imap.fold
+      (fun _ th n -> n + List.length (List.filter (fun (_, e) -> e = ep) th.A.at_slots))
+      a.A.threads 0
+  in
+  Alcotest.(check bool) "the demo has endpoints" true
+    (not (Atmo_util.Imap.is_empty a.A.endpoints));
+  Atmo_util.Imap.iter
+    (fun ep e ->
+      Alcotest.(check int) (Printf.sprintf "endpoint 0x%x refcount" ep) (holders ep)
+        e.A.ae_refcount)
+    a.A.endpoints
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "span"
@@ -299,6 +320,8 @@ let () =
             test_kv_request_path_reconstructs;
           Alcotest.test_case "container cycles sum to total" `Quick
             test_container_cycles_sum_to_total;
+          Alcotest.test_case "endpoint refcounts match slots" `Quick
+            test_kv_refcounts_match_slots;
         ] );
       ( "metrics",
         [

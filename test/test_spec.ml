@@ -155,11 +155,7 @@ let test_page_grant_spec () =
        (Atmo_pm.Perm_map.borrow k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:init)
        0
    with
-   | Some ep ->
-     Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.thrd_perms ~ptr:t2 (fun th ->
-         Atmo_pm.Thread.set_slot th 0 (Some ep));
-     Atmo_pm.Perm_map.update k.Kernel.pm.Atmo_pm.Proc_mgr.edpt_perms ~ptr:ep (fun e ->
-         { e with Atmo_pm.Endpoint.refcount = e.Atmo_pm.Endpoint.refcount + 1 })
+   | Some endpoint -> Atmo_pm.Proc_mgr.share_endpoint k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint
    | None -> Alcotest.fail "no endpoint");
   run_ok k
     [
