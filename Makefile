@@ -82,22 +82,27 @@ bench-all:
 	dune exec bench/main.exe -- slo
 	dune exec bench/main.exe -- report
 
+# Every `atmo san --plant` case, in the CLI's order.  `check` and `san`
+# both run the whole list.
+SAN_PLANTS = double-free unlocked bad-pte stale-tlb fastpath-skip span-leak \
+	lock-order queue-corrupt lost-steal undefined-state dma-escape irq-storm \
+	lost-completion stalled-cpu
+
 # Pre-commit gate: build, tier-1 tests (plain and with the sanitizer
 # armed, so the TLB-coherence, scheduler and span-balance lints run
 # over every suite), the fastpath on/off oracle, the four examples
 # (each asserts its transitions' specs or total_wf), the headline IPC
 # table, the sanitizer over the scripted workload + hostile device
-# sweep (clean run must report zero violations; the stale-TLB,
-# fastpath-skip, span-leak, lock-order, queue-corrupt, lost-steal and
-# driver plants must each be caught by exactly their rule), the
+# sweep (clean run must report zero violations), all fourteen
+# SAN_PLANTS (each caught by its rule; the four driver plants and
+# stalled-cpu by exactly their rule and nothing else), the
 # big-lock/fine-grained scheduler oracle, the incremental verifier on two
 # domains (dirty-set re-check bit-identical to a full oracle within the
 # 20% budget; the stale-proof
 # plant caught by exactly its rule), the profiler's request-path
 # reconstruction over the kv-store demo, the trace CLI's per-kind
 # --filter and --sample admission paths, the SLO monitor (a compliant
-# run must exit 0; the stalled-cpu plant must be caught by exactly
-# watchdog-silent), and the obs + span + device + verif + smp + slo +
+# run must exit 0), and the obs + span + device + verif + smp + slo +
 # san benches + regression report (bit-identity and performance floors,
 # the sanitizer's armed-vs-unarmed cycle identity re-measured rather
 # than read from a committed BENCH_san.json,
@@ -115,17 +120,7 @@ check:
 	&& dune exec examples/driver_pipeline.exe \
 	&& dune exec bench/main.exe -- table3 \
 	&& dune exec bin/atmo_cli.exe -- san \
-	&& dune exec bin/atmo_cli.exe -- san --plant stale-tlb \
-	&& dune exec bin/atmo_cli.exe -- san --plant fastpath-skip \
-	&& dune exec bin/atmo_cli.exe -- san --plant span-leak \
-	&& dune exec bin/atmo_cli.exe -- san --plant lock-order \
-	&& dune exec bin/atmo_cli.exe -- san --plant queue-corrupt \
-	&& dune exec bin/atmo_cli.exe -- san --plant lost-steal \
-	&& dune exec bin/atmo_cli.exe -- san --plant undefined-state \
-	&& dune exec bin/atmo_cli.exe -- san --plant dma-escape \
-	&& dune exec bin/atmo_cli.exe -- san --plant irq-storm \
-	&& dune exec bin/atmo_cli.exe -- san --plant lost-completion \
-	&& dune exec bin/atmo_cli.exe -- san --plant stalled-cpu \
+	&& for p in $(SAN_PLANTS); do dune exec bin/atmo_cli.exe -- san --plant $$p || exit 1; done \
 	&& dune exec bin/atmo_cli.exe -- monitor --workload kv --requests 64 \
 	&& dune exec bin/atmo_cli.exe -- verify --incremental -j 2 \
 	&& dune exec bin/atmo_cli.exe -- verify --plant stale-proof \
@@ -164,20 +159,7 @@ top:
 # watchdog-silent rule.
 san:
 	dune exec bin/atmo_cli.exe -- san
-	dune exec bin/atmo_cli.exe -- san --plant double-free
-	dune exec bin/atmo_cli.exe -- san --plant unlocked
-	dune exec bin/atmo_cli.exe -- san --plant bad-pte
-	dune exec bin/atmo_cli.exe -- san --plant stale-tlb
-	dune exec bin/atmo_cli.exe -- san --plant fastpath-skip
-	dune exec bin/atmo_cli.exe -- san --plant span-leak
-	dune exec bin/atmo_cli.exe -- san --plant lock-order
-	dune exec bin/atmo_cli.exe -- san --plant queue-corrupt
-	dune exec bin/atmo_cli.exe -- san --plant lost-steal
-	dune exec bin/atmo_cli.exe -- san --plant undefined-state
-	dune exec bin/atmo_cli.exe -- san --plant dma-escape
-	dune exec bin/atmo_cli.exe -- san --plant irq-storm
-	dune exec bin/atmo_cli.exe -- san --plant lost-completion
-	dune exec bin/atmo_cli.exe -- san --plant stalled-cpu
+	for p in $(SAN_PLANTS); do dune exec bin/atmo_cli.exe -- san --plant $$p || exit 1; done
 
 # Online SLO monitor over the kv workload: windowed rollup table, SLO
 # verdicts (the exit code is the compliance verdict), watchdog

@@ -538,6 +538,24 @@ let fig7 () =
    emit counters must account for every record exactly.  Tracing costs
    host time only: the kv virtual clock and per-request latencies must
    be bit-identical on vs off. *)
+(* Events admitted this session, summed over every tag. *)
+let emitted_total () =
+  let n = ref 0 in
+  for tag = 1 to Atmo_obs.Event.tag_count do
+    n := !n + Atmo_obs.Sink.emitted_count ~tag
+  done;
+  !n
+
+(* The kv pair [obs] and [span] time: [reps] runs with the sink
+   disabled, then [reps] in a flight session of [slots] slots per CPU;
+   [inspect] reads the recorder before the session closes. *)
+let kv_traced_pair ~requests ~reps ~slots inspect =
+  let module Kv = Atmo_workloads.Kv_demo in
+  let off_s, off = time_reps ~reps (fun () -> Kv.run ~requests ()) in
+  Atmo_obs.Session.with_flight ~slots (fun recorder ->
+      let on_s, on = time_reps ~reps (fun () -> Kv.run ~requests ()) in
+      (off_s, off, on_s, on, inspect recorder))
+
 let obs () =
   section "Observability: tracing overhead on vs off (host time; model cycles)";
   let module Kv = Atmo_workloads.Kv_demo in
@@ -547,54 +565,35 @@ let obs () =
      per-kind emit counters give the full-run event rate, from which the
      measured ring is sized so all [reps] runs fit with zero drops even
      if every event lands on one CPU *)
-  let probe =
-    Atmo_obs.Flight.create ~cpus:2 ~slots:65536 ~slot_size:Atmo_obs.Event.slot_bytes
+  let per_rep =
+    Atmo_obs.Session.with_flight ~slots:65536 (fun _ ->
+        ignore (Kv.run ~requests ());
+        emitted_total ())
   in
-  Atmo_obs.Sink.install (Atmo_obs.Sink.Flight probe);
-  Atmo_obs.Span.reset ();
-  ignore (Kv.run ~requests ());
-  let per_rep = ref 0 in
-  for tag = 1 to Atmo_obs.Event.tag_count do
-    per_rep := !per_rep + Atmo_obs.Sink.emitted_count ~tag
-  done;
-  Atmo_obs.Sink.install Atmo_obs.Sink.Disabled;
   let slots = ref 1024 in
-  while !slots < !per_rep * reps do
+  while !slots < per_rep * reps do
     slots := !slots * 2
   done;
-  line "calibration: %d events per run -> ring of %d slots/cpu for %d runs" !per_rep
+  line "calibration: %d events per run -> ring of %d slots/cpu for %d runs" per_rep
     !slots reps;
-  Atmo_obs.Metrics.reset ();
-  Atmo_obs.Span.reset ();
-  let off_s, off = time_reps ~reps (fun () -> Kv.run ~requests ()) in
-  Atmo_obs.Metrics.reset ();
-  Atmo_obs.Span.reset ();
-  let recorder =
-    Atmo_obs.Flight.create ~cpus:2 ~slots:!slots ~slot_size:Atmo_obs.Event.slot_bytes
+  let off_s, off, on_s, on, (records, dropped, emitted_total, pairs) =
+    kv_traced_pair ~requests ~reps ~slots:!slots (fun _ ->
+        (* each packed span pair decodes into a begin and an end record,
+           so the lossless-accounting identity is records = emitted + pairs *)
+        ( Atmo_obs.Sink.records (),
+          Atmo_obs.Sink.dropped (),
+          emitted_total (),
+          Atmo_obs.Sink.emitted_count ~tag:Atmo_obs.Event.tag_span_pair ))
   in
-  Atmo_obs.Sink.install (Atmo_obs.Sink.Flight recorder);
-  let on_s, on = time_reps ~reps (fun () -> Kv.run ~requests ()) in
-  let records = Atmo_obs.Sink.records () in
-  let dropped = Atmo_obs.Sink.dropped () in
-  let emitted_total = ref 0 in
-  for tag = 1 to Atmo_obs.Event.tag_count do
-    emitted_total := !emitted_total + Atmo_obs.Sink.emitted_count ~tag
-  done;
-  (* each packed span pair decodes into a begin and an end record, so
-     the lossless-accounting identity is records = emitted + pairs *)
-  let pairs = Atmo_obs.Sink.emitted_count ~tag:Atmo_obs.Event.tag_span_pair in
-  Atmo_obs.Sink.install Atmo_obs.Sink.Disabled;
-  Atmo_obs.Sink.set_clock (fun () -> 0);
-  Atmo_obs.Span.reset ();
   let live = List.length records in
-  let accounting = live = !emitted_total + pairs && dropped = 0 in
+  let accounting = live = emitted_total + pairs && dropped = 0 in
   line "disabled sink: %8.2f ms for %d runs" (off_s *. 1000.) reps;
   line "flight sink:   %8.2f ms for %d runs  (%d events live, %d dropped)"
     (on_s *. 1000.) reps live dropped;
   line "host-time overhead when enabled: %.1f%%"
     (100. *. (on_s -. off_s) /. Float.max 1e-9 off_s);
   line "lossless accounting: %d records = %d emitted + %d span pairs, 0 dropped: %b"
-    live !emitted_total pairs accounting;
+    live emitted_total pairs accounting;
   let identical =
     off.Kv.end_cycles = on.Kv.end_cycles && off.Kv.latencies = on.Kv.latencies
   in
@@ -1002,20 +1001,10 @@ let span () =
   let module Kv = Atmo_workloads.Kv_demo in
   let requests = 200 in
   let reps = 10 in
-  Atmo_obs.Sink.install Atmo_obs.Sink.Disabled;
-  Atmo_obs.Span.reset ();
-  let off_s, off = time_reps ~reps (fun () -> Kv.run ~requests ()) in
-  Atmo_obs.Metrics.reset ();
-  Atmo_obs.Span.reset ();
-  let recorder =
-    Atmo_obs.Flight.create ~cpus:2 ~slots:8192 ~slot_size:Atmo_obs.Event.slot_bytes
+  let off_s, off, on_s, on, (records, dropped) =
+    kv_traced_pair ~requests ~reps ~slots:8192 (fun recorder ->
+        (Atmo_obs.Sink.records (), Atmo_obs.Flight.total_dropped recorder))
   in
-  Atmo_obs.Sink.install (Atmo_obs.Sink.Flight recorder);
-  let on_s, on = time_reps ~reps (fun () -> Kv.run ~requests ()) in
-  let records = Atmo_obs.Sink.records () in
-  Atmo_obs.Sink.install Atmo_obs.Sink.Disabled;
-  Atmo_obs.Sink.set_clock (fun () -> 0);
-  Atmo_obs.Span.reset ();
   let count p = List.length (List.filter p records) in
   let spans =
     count (fun (r : Atmo_obs.Event.record) ->
@@ -1040,8 +1029,7 @@ let span () =
   line "%d GET requests per run, %d runs per configuration:" requests reps;
   line "  disabled sink: %8.2f ms" (off_s *. 1000.);
   line "  flight sink:   %8.2f ms  (%d spans, %d causal edges live; %d dropped)"
-    (on_s *. 1000.) spans edges
-    (Atmo_obs.Flight.total_dropped recorder);
+    (on_s *. 1000.) spans edges dropped;
   line "  host-time overhead when traced: %.1f%%"
     (100. *. (on_s -. off_s) /. Float.max 1e-9 off_s);
   line "  request latency (model cycles, merged shards): p50 %d  p99 %d  (n=%d)"
@@ -1107,9 +1095,6 @@ let slo () =
      second cannot bias every pair the same way. *)
   let trials = 9 in
   (* 1. disabled sink: the cycle-model baseline *)
-  O.Sink.install O.Sink.Disabled;
-  O.Metrics.reset ();
-  O.Span.reset ();
   let off_s = ref infinity and off = ref None in
   for _ = 1 to trials do
     let s, r = time_reps ~reps (fun () -> Kv.run ~requests ()) in
@@ -1119,34 +1104,31 @@ let slo () =
   let off_s = !off_s and off = Option.get !off in
   (* 2+3. paired flight-only / flight+monitor trials; the monitor is
      re-armed per run so every run pays the full window-tick and
-     slow-ledger cost *)
+     slow-ledger cost.  Each pass is a fresh session with its own ring,
+     provisioned for one pass, so the drop gate measures admission
+     under adequate provisioning rather than reuse wraparound; a pass
+     reports its drops and the requests it rolled up. *)
   let ticks_per_run = ref 0 in
   let fl_s = ref infinity and mon_s = ref infinity and delta_s = ref infinity in
   let fl = ref None and mon = ref None in
-  let flight_drops = ref 0 and monitor_drops = ref 0 in
+  let flight_drops = ref 0 and monitor_drops = ref 0 and rolled = ref 0 in
+  let pass drops run =
+    O.Session.with_flight ~slots:65536 (fun recorder ->
+        let sr = time_reps ~reps run in
+        drops := !drops + O.Flight.total_dropped recorder;
+        rolled := !rolled + O.Metrics.Histogram.count (O.Metrics.histogram "lat/request");
+        sr)
+  in
+  let flight_pass () = pass flight_drops (fun () -> Kv.run ~requests ()) in
+  let monitor_pass () =
+    pass monitor_drops (fun () ->
+        let m = O.Monitor.arm ~windows:64 ~window_cycles ~now:0 ~specs:[ spec ] () in
+        let r = Kv.run ~requests () in
+        O.Monitor.finish m ~now:r.Kv.end_cycles;
+        ticks_per_run := O.Timeseries.ticks (O.Monitor.series m);
+        r)
+  in
   for trial = 1 to trials do
-    (* Fresh rings per trial, provisioned for one pass, so the drop
-       gate measures admission under adequate provisioning rather than
-       reuse wraparound. *)
-    let rec1 = O.Flight.create ~cpus:2 ~slots:65536 ~slot_size:O.Event.slot_bytes in
-    let rec2 = O.Flight.create ~cpus:2 ~slots:65536 ~slot_size:O.Event.slot_bytes in
-    let flight_pass () =
-      O.Sink.install (O.Sink.Flight rec1);
-      time_reps ~reps (fun () -> Kv.run ~requests ())
-    in
-    let monitor_pass () =
-      O.Sink.install (O.Sink.Flight rec2);
-      let sr =
-        time_reps ~reps (fun () ->
-            let m = O.Monitor.arm ~windows:64 ~window_cycles ~now:0 ~specs:[ spec ] () in
-            let r = Kv.run ~requests () in
-            O.Monitor.finish m ~now:r.Kv.end_cycles;
-            ticks_per_run := O.Timeseries.ticks (O.Monitor.series m);
-            r)
-      in
-      O.Monitor.disarm ();
-      sr
-    in
     let (s_fl, r_fl), (s_mon, r_mon) =
       if trial mod 2 = 1 then
         let f = flight_pass () in
@@ -1155,22 +1137,14 @@ let slo () =
         let m = monitor_pass () in
         (flight_pass (), m)
     in
-    O.Sink.install O.Sink.Disabled;
     fl_s := Float.min !fl_s s_fl;
     mon_s := Float.min !mon_s s_mon;
     delta_s := Float.min !delta_s (s_mon -. s_fl);
-    flight_drops := !flight_drops + O.Flight.total_dropped rec1;
-    monitor_drops := !monitor_drops + O.Flight.total_dropped rec2;
     fl := Some r_fl;
     mon := Some r_mon
   done;
   let fl_s = !fl_s and mon_s = !mon_s in
-  let fl = Option.get !fl and mon = Option.get !mon in
-  let rolled =
-    match O.Metrics.Snapshot.hist (O.Metrics.Snapshot.take ()) "lat/request" with
-    | Some h -> h.O.Metrics.Snapshot.n
-    | None -> 0
-  in
+  let fl = Option.get !fl and mon = Option.get !mon and rolled = !rolled in
   let identical =
     off.Kv.end_cycles = fl.Kv.end_cycles
     && fl.Kv.end_cycles = mon.Kv.end_cycles
@@ -1195,60 +1169,56 @@ let slo () =
      wrap-free ring and ring of windows, compared online vs offline *)
   let slow_every = 20 and slow_cycles = 200_000 in
   let injected = requests / slow_every in
-  O.Metrics.reset ();
-  O.Span.reset ();
-  let rec3 = O.Flight.create ~cpus:2 ~slots:65536 ~slot_size:O.Event.slot_bytes in
-  O.Sink.install (O.Sink.Flight rec3);
-  let m = O.Monitor.arm ~windows:512 ~window_cycles:32768 ~now:0 ~specs:[ spec ] () in
-  let agree = Kv.run ~requests ~slow_every ~slow_cycles () in
-  O.Monitor.finish m ~now:agree.Kv.end_cycles;
-  let series = O.Monitor.series m in
-  let merged =
-    O.Timeseries.merged series ~name:"lat/request" ~n:(O.Timeseries.capacity series)
+  let agreement, captured, complete, compliant =
+    O.Session.with_flight ~slots:65536 (fun _ ->
+        let m = O.Monitor.arm ~windows:512 ~window_cycles:32768 ~now:0 ~specs:[ spec ] () in
+        let agree = Kv.run ~requests ~slow_every ~slow_cycles () in
+        O.Monitor.finish m ~now:agree.Kv.end_cycles;
+        let series = O.Monitor.series m in
+        let merged =
+          O.Timeseries.merged series ~name:"lat/request" ~n:(O.Timeseries.capacity series)
+        in
+        let online q = O.Metrics.Snapshot.quantile merged q in
+        (* post-mortem: the profiler's request-root durations, exact ranks *)
+        let prof = O.Profile.build (O.Sink.records ()) in
+        let request_code = O.Span.code O.Span.Request in
+        let durs =
+          List.filter_map
+            (fun (s : O.Profile.span) ->
+              if s.O.Profile.kind = request_code && s.O.Profile.ended then
+                Some (O.Profile.duration s)
+              else None)
+            (O.Profile.spans prof)
+          |> List.sort compare |> Array.of_list
+        in
+        let offline q =
+          if Array.length durs = 0 then 0
+          else
+            let rank = int_of_float (ceil (q *. float_of_int (Array.length durs))) in
+            durs.(max 0 (min (Array.length durs - 1) (rank - 1)))
+        in
+        let bucket = O.Metrics.Histogram.bucket_of in
+        let agree_q q =
+          let on = online q and post = offline q in
+          let ok = abs (bucket on - bucket post) <= 1 in
+          line "  p%-5g online %8d (bucket %2d)  post-mortem %8d (bucket %2d)  %s"
+            (q *. 100.) on (bucket on) post (bucket post)
+            (if ok then "agree" else "DISAGREE");
+          ok
+        in
+        line "agreement run: %d requests, %d injected slow (+%d cycles), %d windows closed:"
+          requests injected slow_cycles (O.Timeseries.ticks series);
+        let a50 = agree_q 0.50 and a99 = agree_q 0.99 and a999 = agree_q 0.999 in
+        let exemplars = O.Monitor.capture_exemplars ~max_exemplars:64 m in
+        let complete =
+          List.for_all (fun (e : O.Exemplar.t) -> e.O.Exemplar.complete) exemplars
+        in
+        let verdict = List.hd (O.Monitor.verdicts m) in
+        line "  exemplars: %d captured for %d injected slow requests (all complete: %b)"
+          (List.length exemplars) injected complete;
+        line "  verdict: %a" O.Slo.pp_verdict verdict;
+        (a50 && a99 && a999, List.length exemplars, complete, verdict.O.Slo.compliant))
   in
-  let online q = O.Metrics.Snapshot.quantile merged q in
-  (* post-mortem: the profiler's request-root durations, exact ranks *)
-  let prof = O.Profile.build (O.Sink.records ()) in
-  let request_code = O.Span.code O.Span.Request in
-  let durs =
-    List.filter_map
-      (fun (s : O.Profile.span) ->
-        if s.O.Profile.kind = request_code && s.O.Profile.ended then
-          Some (O.Profile.duration s)
-        else None)
-      (O.Profile.spans prof)
-    |> List.sort compare |> Array.of_list
-  in
-  let offline q =
-    if Array.length durs = 0 then 0
-    else
-      let rank = int_of_float (ceil (q *. float_of_int (Array.length durs))) in
-      durs.(max 0 (min (Array.length durs - 1) (rank - 1)))
-  in
-  let bucket = O.Metrics.Histogram.bucket_of in
-  let agree_q q =
-    let on = online q and post = offline q in
-    let ok = abs (bucket on - bucket post) <= 1 in
-    line "  p%-5g online %8d (bucket %2d)  post-mortem %8d (bucket %2d)  %s"
-      (q *. 100.) on (bucket on) post (bucket post)
-      (if ok then "agree" else "DISAGREE");
-    ok
-  in
-  line "agreement run: %d requests, %d injected slow (+%d cycles), %d windows closed:"
-    requests injected slow_cycles (O.Timeseries.ticks series);
-  let a50 = agree_q 0.50 and a99 = agree_q 0.99 and a999 = agree_q 0.999 in
-  let exemplars = O.Monitor.capture_exemplars ~max_exemplars:64 m in
-  let complete =
-    List.for_all (fun (e : O.Exemplar.t) -> e.O.Exemplar.complete) exemplars
-  in
-  let verdict = List.hd (O.Monitor.verdicts m) in
-  line "  exemplars: %d captured for %d injected slow requests (all complete: %b)"
-    (List.length exemplars) injected complete;
-  line "  verdict: %a" O.Slo.pp_verdict verdict;
-  O.Monitor.disarm ();
-  O.Sink.install O.Sink.Disabled;
-  O.Sink.set_clock (fun () -> 0);
-  O.Span.reset ();
   write_bench_json "BENCH_slo.json"
     [
       ("bench", J.Str "slo_monitor");
@@ -1264,11 +1234,11 @@ let slo () =
       ("requests_rolled_up", J.Num (float_of_int rolled));
       ("rollup_exact", J.Bool (rolled = 2 * requests * reps * trials));
       ("cycle_identity", J.Bool identical);
-      ("quantile_agreement", J.Bool (a50 && a99 && a999));
+      ("quantile_agreement", J.Bool agreement);
       ("injected_slow", J.Num (float_of_int injected));
-      ("exemplars_captured", J.Num (float_of_int (List.length exemplars)));
-      ("exemplar_coverage", J.Bool (List.length exemplars = injected && complete));
-      ("slo_violated_as_expected", J.Bool (not verdict.O.Slo.compliant));
+      ("exemplars_captured", J.Num (float_of_int captured));
+      ("exemplar_coverage", J.Bool (captured = injected && complete));
+      ("slo_violated_as_expected", J.Bool (not compliant));
     ]
 
 (* ------------------------------------------------------------------ *)

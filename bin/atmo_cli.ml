@@ -19,7 +19,6 @@ module Obligation = Atmo_verif.Obligation
 module Kernel = Atmo_core.Kernel
 module Syscall = Atmo_spec.Syscall
 module Obs_event = Atmo_obs.Event
-module Obs_flight = Atmo_obs.Flight
 module Obs_metrics = Atmo_obs.Metrics
 module Obs_sink = Atmo_obs.Sink
 module Obs_span = Atmo_obs.Span
@@ -30,6 +29,7 @@ module Obs_slo = Atmo_obs.Slo
 module Obs_monitor = Atmo_obs.Monitor
 module Obs_watchdog = Atmo_obs.Watchdog
 module Obs_exemplar = Atmo_obs.Exemplar
+module Obs_session = Atmo_obs.Session
 module Kv_demo = Atmo_workloads.Kv_demo
 
 let setup_logs () =
@@ -250,27 +250,17 @@ let boot_cmd () =
        1)
 
 (* ------------------------------------------------------------------ *)
-(* Shared observability plumbing: run the kv-store demo workload under
-   a flight recorder, hand back the decoded stream, and restore the
-   Disabled sink.  The metrics registry is left populated — top and the
-   exporters read it after the run. *)
+(* Shared observability plumbing: run the kv-store demo workload in a
+   flight-recorder session and hand back the decoded stream.  The
+   metrics registry is left populated — top and the exporters read it
+   after the run. *)
 
 let write_text_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
 
 let run_kv_traced ~requests ~slots =
-  Obs_metrics.reset ();
-  Obs_span.reset ();
-  let recorder = Obs_flight.create ~cpus:2 ~slots ~slot_size:Obs_event.slot_bytes in
-  Obs_sink.install (Obs_sink.Flight recorder);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs_sink.install Obs_sink.Disabled;
-      Obs_sink.set_clock (fun () -> 0);
-      Obs_sink.set_cpu 0;
-      Obs_span.reset ())
-    (fun () ->
+  Obs_session.with_flight ~slots (fun _ ->
       let result = Kv_demo.run ~requests () in
       (result, Obs_sink.records (), Obs_sink.dropped ()))
 
@@ -440,19 +430,8 @@ let monitor_main workload requests slots slo_strs window_cycles windows slow_eve
       2
     | None ->
       let specs = List.filter_map Result.to_option specs_r in
-      Obs_metrics.reset ();
-      Obs_span.reset ();
-      let recorder = Obs_flight.create ~cpus:2 ~slots ~slot_size:Obs_event.slot_bytes in
-      Obs_sink.install (Obs_sink.Flight recorder);
-      let m = Obs_monitor.arm ~windows ~window_cycles ~now:0 ~specs () in
-      Fun.protect
-        ~finally:(fun () ->
-          Obs_monitor.disarm ();
-          Obs_sink.install Obs_sink.Disabled;
-          Obs_sink.set_clock (fun () -> 0);
-          Obs_sink.set_cpu 0;
-          Obs_span.reset ())
-        (fun () ->
+      Obs_session.with_flight ~slots (fun _ ->
+          let m = Obs_monitor.arm ~windows ~window_cycles ~now:0 ~specs () in
           let result = Kv_demo.run ~requests ~slow_every ~slow_cycles () in
           Obs_monitor.finish m ~now:result.Kv_demo.end_cycles;
           let dropped = Obs_sink.dropped () in
@@ -486,8 +465,9 @@ let monitor_main workload requests slots slo_strs window_cycles windows slow_eve
                 w.Obs_timeseries.w_start w.Obs_timeseries.w_end reqs p99 beats)
             (Obs_timeseries.windows (Obs_monitor.series m));
           Format.printf "@.-- SLO verdicts --@.";
-          let verdicts = Obs_monitor.verdicts m in
-          List.iter (fun v -> Format.printf "%a@." Obs_slo.pp_verdict v) verdicts;
+          List.iter
+            (fun v -> Format.printf "%a@." Obs_slo.pp_verdict v)
+            (Obs_monitor.verdicts m);
           (match Obs_monitor.findings m with
           | [] -> Format.printf "@.watchdog: quiet.@."
           | fs ->
@@ -513,81 +493,78 @@ let monitor_main workload requests slots slo_strs window_cycles windows slow_eve
                  ());
             Format.printf "wrote %s@." f
           | None -> ());
-          let ok =
-            List.for_all (fun (v : Obs_slo.verdict) -> v.Obs_slo.compliant) verdicts
-          in
+          let ok = Obs_monitor.compliant m in
           Format.printf "@.%s@." (if ok then "SLO compliant." else "SLO VIOLATED.");
           if ok then 0 else 1)
   end
 
 (* ------------------------------------------------------------------ *)
-(* trace: flight-record a scripted IPC + mmap + driver workload        *)
+(* trace: flight-record the scripted kernel workload or the kv demo    *)
 
-(* The workload is deterministic: boot, an SMP send/recv ping-pong over
-   a shared endpoint, a memory phase (multi-page mmap, MMU walks,
-   superpage formation, munmap), and an NVMe submit/poll phase.  Every
-   cycle figure printed comes from the simulation's cost model, so a
-   run with the Disabled sink doubles as the bit-identical baseline for
-   the zero-overhead guarantee. *)
-let run_trace_workload k ~init ~iterations =
-  let cost = Atmo_sim.Cost.default in
-  (* phase 1: IPC ping-pong under the big lock with a second thread
-     sharing init's endpoint; the receiver runs first so sends
-     rendezvous with a waiting receiver (ep_send), and the receiver's
-     first call of each round blocks (ep_block) *)
-  let { Atmo_workloads.Worlds.receiver = t2; programs; _ } =
-    Atmo_workloads.Worlds.ping_pong k ~init
-  in
-  let stats =
-    match Atmo_sim.Smp.run k ~cost ~cpus:2 ~programs ~iterations with
-    | Ok s -> s
-    | Error msg -> Fmt.failwith "trace: smp phase failed: %s" msg
-  in
-  (* phase 2: memory; a manual virtual clock continues where the SMP
-     timeline stopped *)
-  let vnow = ref stats.Atmo_sim.Smp.wall_cycles in
-  if Obs_sink.tracing () then Obs_sink.set_clock (fun () -> !vnow);
-  let tstep thread call =
-    let c = Atmo_sim.Smp.syscall_cycles cost call in
-    let r = Kernel.step k ~thread call in
-    vnow := !vnow + c;
-    if Obs_sink.tracing () then
-      Obs_metrics.observe ("lat/syscall/" ^ Syscall.name call) c;
-    r
-  in
-  let s4k = Atmo_pmem.Page_state.S4k and s2m = Atmo_pmem.Page_state.S2m in
-  let rw = Atmo_hw.Pte_bits.perm_rw in
-  ignore (tstep init (Syscall.Mmap { va = 0x4000_0000; count = 8; size = s4k; perm = rw }));
-  (* user-level loads: real MMU walks through the new page tables *)
-  for i = 0 to 7 do
-    ignore (Kernel.resolve_user k ~thread:init ~vaddr:(0x4000_0000 + (i * 0x1000)))
-  done;
-  ignore (Kernel.resolve_user k ~thread:init ~vaddr:0x7fff_0000);  (* miss *)
-  ignore (tstep init (Syscall.Munmap { va = 0x4000_0000; count = 8; size = s4k }));
-  (* a 2 MiB mapping forces superpage formation out of free 4 KiB frames *)
-  ignore (tstep init (Syscall.Mmap { va = 0x8000_0000; count = 1; size = s2m; perm = rw }));
-  ignore (tstep init (Syscall.Munmap { va = 0x8000_0000; count = 1; size = s2m }));
-  (* phase 3: one last rendezvous in the other direction (sender blocks,
-     receiver harvests it) *)
-  ignore (tstep init (Syscall.Send { slot = 0; msg = Atmo_pm.Message.scalars_only [ 99 ] }));
-  ignore (tstep t2 (Syscall.Recv { slot = 0 }));
-  (* phase 4: NVMe queue pair *)
-  let dclock = Atmo_hw.Clock.create () in
-  Atmo_hw.Clock.advance dclock !vnow;
-  if Obs_sink.tracing () then
-    Obs_sink.set_clock (fun () -> Atmo_hw.Clock.now dclock);
-  let nvme = Atmo_drivers.Nvme.create ~clock:dclock ~cost ~capacity_blocks:1024 in
-  Atmo_drivers.Nvme.set_device nvme 7;
-  let block = Bytes.make Atmo_drivers.Nvme.block_bytes 'a' in
-  for lba = 0 to 7 do
-    ignore (Atmo_drivers.Nvme.submit_write nvme ~lba ~data:block)
-  done;
-  ignore (Atmo_drivers.Nvme.wait_all nvme);
-  for lba = 0 to 3 do
-    ignore (Atmo_drivers.Nvme.submit_read nvme ~lba)
-  done;
-  ignore (Atmo_drivers.Nvme.wait_all nvme);
-  (stats, !vnow, Atmo_hw.Clock.now dclock)
+(* Both workloads are deterministic and every cycle figure printed
+   comes from the simulation's cost model, so a run with the Disabled
+   sink doubles as the bit-identical baseline for the zero-overhead
+   guarantee.  The scripted one is [Worlds.scripted], the same script
+   [atmo san] checks. *)
+let trace_workload workload iterations =
+  match workload with
+  | "kv" ->
+    let r = Kv_demo.run ~requests:iterations () in
+    Format.printf
+      "kv workload: %d requests (%d hits) over two IPC rendezvous + NVMe,@.\
+      \ end clock %d cycles@."
+      r.Kv_demo.requests r.Kv_demo.hits r.Kv_demo.end_cycles;
+    true
+  | _ -> (
+    match Kernel.boot Kernel.default_boot with
+    | Error e ->
+      Format.eprintf "boot: %a@." Atmo_util.Errno.pp e;
+      false
+    | Ok (k, init) ->
+      let s = Atmo_workloads.Worlds.(scripted unguarded) k ~init ~iterations in
+      let smp = s.Atmo_workloads.Worlds.smp in
+      Format.printf "workload: %d syscalls under the big lock (2 CPUs), wall %d cycles,@."
+        smp.Atmo_sim.Smp.syscalls_executed smp.Atmo_sim.Smp.wall_cycles;
+      Format.printf "          lock wait %d cycles; kernel phases to %d; driver clock %d@."
+        smp.Atmo_sim.Smp.lock_wait_cycles s.Atmo_workloads.Worlds.kernel_cycles
+        s.Atmo_workloads.Worlds.drv_cycles;
+      true)
+
+let print_trace ~filtered ~sample ~max_events export out =
+  let records = Obs_sink.records () in
+  Format.printf "@.-- flight recorder: %d live events (%d dropped, oldest-first) --@."
+    (List.length records) (Obs_sink.dropped ());
+  if filtered || sample > 0 then begin
+    let emitted = ref 0 and sampled = ref 0 in
+    for tag = 1 to Obs_event.tag_count do
+      emitted := !emitted + Obs_sink.emitted_count ~tag;
+      sampled := !sampled + Obs_sink.sampled_out_count ~tag
+    done;
+    Format.printf "-- admission: %d emitted, %d sampled out (shift %d) --@." !emitted
+      !sampled sample
+  end;
+  List.iteri (fun i r -> if i < max_events then Format.printf "%a@." Obs_event.pp_record r) records;
+  if List.length records > max_events then
+    Format.printf "... (%d more; raise --events to see them)@."
+      (List.length records - max_events);
+  let by_kind = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Obs_event.record) ->
+      let key = Obs_event.kind r.Obs_event.ev in
+      Hashtbl.replace by_kind key (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind key)))
+    records;
+  Format.printf "@.-- event kinds --@.";
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_kind []
+  |> List.sort compare
+  |> List.iter (fun (kind, n) -> Format.printf "%-16s %6d@." kind n);
+  Format.printf "@.-- metrics (latencies in model cycles) --@.%a" Obs_metrics.pp_table ();
+  match export with
+  | Some _ ->
+    let json = Obs_export.chrome_trace records in
+    write_text_file out json;
+    Format.printf "@.wrote %s (%d bytes; load in chrome://tracing or Perfetto)@." out
+      (String.length json)
+  | None -> ()
 
 let trace sink_kind workload iterations max_events slots filter sample export out =
   setup_logs ();
@@ -599,128 +576,46 @@ let trace sink_kind workload iterations max_events slots filter sample export ou
     Format.eprintf "trace: --sample must be in 0..30 (got %d)@." sample;
     exit 2
   end;
-  (* admission config before install: the sink snapshots the filter
-     mask when the recorder goes live *)
-  (match filter with
-   | None -> Obs_sink.set_filter Obs_event.all_tags_mask
-   | Some spec ->
-     let mask =
-       List.fold_left
-         (fun acc name ->
-           let name = String.trim name in
-           match Obs_event.tag_of_name name with
-           | Some tag -> acc lor (1 lsl tag)
-           | None ->
-             Format.eprintf
-               "trace: unknown event kind %S in --filter (names as printed under \
-                'event kinds', e.g. syscall_enter,page_alloc)@."
-               name;
-             exit 2)
-         0
-         (String.split_on_char ',' spec)
-     in
-     Obs_sink.set_filter mask);
-  Obs_sink.set_sample_all ~shift:sample;
-  Obs_metrics.reset ();
-  Obs_span.reset ();
-  let recorder =
-    Obs_flight.create ~cpus:2 ~slots ~slot_size:Obs_event.slot_bytes
+  let mask =
+    match filter with
+    | None -> Obs_event.all_tags_mask
+    | Some spec ->
+      List.fold_left
+        (fun acc name ->
+          let name = String.trim name in
+          match Obs_event.tag_of_name name with
+          | Some tag -> acc lor (1 lsl tag)
+          | None ->
+            Format.eprintf
+              "trace: unknown event kind %S in --filter (names as printed under \
+               'event kinds', e.g. syscall_enter,page_alloc)@."
+              name;
+            exit 2)
+        0
+        (String.split_on_char ',' spec)
   in
-  (match sink_kind with
-   | "disabled" -> Obs_sink.install Obs_sink.Disabled
-   | "flight" -> Obs_sink.install (Obs_sink.Flight recorder)
-   | other -> Fmt.failwith "trace: unknown sink %S (flight|disabled)" other);
-  let finish code =
-    Obs_sink.install Obs_sink.Disabled;
-    Obs_sink.set_filter Obs_event.all_tags_mask;
-    Obs_sink.set_sample_all ~shift:0;
-    Obs_sink.set_clock (fun () -> 0);
-    Obs_sink.set_cpu 0;
-    Obs_span.reset ();
-    code
-  in
-  let ran =
-    match workload with
-    | "kv" ->
-      let r = Kv_demo.run ~requests:iterations () in
+  if sink_kind = "disabled" then begin
+    if not (trace_workload workload iterations) then 1
+    else begin
       Format.printf
-        "kv workload: %d requests (%d hits) over two IPC rendezvous + NVMe,@.\
-        \ end clock %d cycles@."
-        r.Kv_demo.requests r.Kv_demo.hits r.Kv_demo.end_cycles;
-      Ok ()
-    | _ -> (
-      match Kernel.boot Kernel.default_boot with
-      | Error e -> Error e
-      | Ok (k, init) ->
-        let stats, mem_cycles, drv_cycles = run_trace_workload k ~init ~iterations in
-        Format.printf "workload: %d syscalls under the big lock (2 CPUs), wall %d cycles,@."
-          stats.Atmo_sim.Smp.syscalls_executed stats.Atmo_sim.Smp.wall_cycles;
-        Format.printf "          lock wait %d cycles; memory phase to %d; driver clock %d@."
-          stats.Atmo_sim.Smp.lock_wait_cycles mem_cycles drv_cycles;
-        Ok ())
-  in
-  match ran with
-  | Error e ->
-    Format.eprintf "boot: %a@." Atmo_util.Errno.pp e;
-    finish 1
-  | Ok () ->
-    let records = Obs_sink.records () in
-    (match sink_kind with
-     | "disabled" ->
-       Format.printf
-         "sink disabled: 0 events recorded; the cycle totals above are the@.\
-         \ bit-identical baseline any instrumented run must reproduce.@.";
-       if export <> None then
-         Format.printf "(nothing to export with the disabled sink)@.";
-       finish 0
-     | _ ->
-       Format.printf "@.-- flight recorder: %d live events (%d dropped, oldest-first) --@."
-         (List.length records) (Obs_sink.dropped ());
-       if filter <> None || sample > 0 then begin
-         let emitted = ref 0 and sampled = ref 0 in
-         for tag = 1 to Obs_event.tag_count do
-           emitted := !emitted + Obs_sink.emitted_count ~tag;
-           sampled := !sampled + Obs_sink.sampled_out_count ~tag
-         done;
-         Format.printf "-- admission: %d emitted, %d sampled out (shift %d) --@."
-           !emitted !sampled sample
-       end;
-       let shown = ref 0 in
-       List.iter
-         (fun r ->
-           if !shown < max_events then begin
-             Format.printf "%a@." Obs_event.pp_record r;
-             incr shown
-           end)
-         records;
-       if List.length records > max_events then
-         Format.printf "... (%d more; raise --events to see them)@."
-           (List.length records - max_events);
-       let by_kind = Hashtbl.create 16 in
-       List.iter
-         (fun (r : Obs_event.record) ->
-           let key = Obs_event.kind r.Obs_event.ev in
-           Hashtbl.replace by_kind key
-             (1 + Option.value ~default:0 (Hashtbl.find_opt by_kind key)))
-         records;
-       Format.printf "@.-- event kinds --@.";
-       Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_kind []
-       |> List.sort compare
-       |> List.iter (fun (kind, n) -> Format.printf "%-16s %6d@." kind n);
-       Format.printf "@.-- metrics (latencies in model cycles) --@.%a"
-         Obs_metrics.pp_table ();
-       (match export with
-        | Some "chrome" ->
-          let json = Obs_export.chrome_trace records in
-          write_text_file out json;
-          Format.printf "@.wrote %s (%d bytes; load in chrome://tracing or Perfetto)@." out
-            (String.length json)
-        | Some other -> Fmt.failwith "trace: unknown export %S (chrome)" other
-        | None -> ());
-       finish 0)
+        "sink disabled: 0 events recorded; the cycle totals above are the@.\
+        \ bit-identical baseline any instrumented run must reproduce.@.";
+      if export <> None then Format.printf "(nothing to export with the disabled sink)@.";
+      0
+    end
+  end
+  else
+    Obs_session.with_flight ~slots (fun _ ->
+        Obs_sink.set_filter mask;
+        Obs_sink.set_sample_all ~shift:sample;
+        if not (trace_workload workload iterations) then 1
+        else begin
+          print_trace ~filtered:(filter <> None) ~sample ~max_events export out;
+          0
+        end)
 
 (* ------------------------------------------------------------------ *)
-(* san: the trace workload under the full sanitizer, plus plants       *)
+(* san: the scripted workload under the full sanitizer, plus plants    *)
 
 module San_runtime = Atmo_san.Runtime
 module San_report = Atmo_san.Report
@@ -733,8 +628,8 @@ module Page_table = Atmo_pt.Page_table
 (* Harness code legitimately mutates kernel state outside the SMP loop
    (setup syscalls, device interrupt injection); it takes the modelled
    big lock like any CPU would. *)
-let locked_step k ~thread call =
-  Lockcheck.locked ~site:"san.harness" ~cpu:0 (fun () -> Kernel.step k ~thread call)
+let big_lock = { Atmo_workloads.Worlds.guard = (fun f -> Lockcheck.locked ~site:"san.harness" ~cpu:0 f) }
+let locked_step k ~thread call = big_lock.guard (fun () -> Kernel.step k ~thread call)
 
 (* Physical address of the L1 entry mapping [vaddr] (the mapping must be
    a present 4 KiB one). *)
@@ -752,59 +647,6 @@ let pt_of_thread k ~thread =
   let proc = Option.get (Kernel.proc_of_thread k ~thread) in
   (Atmo_pm.Perm_map.borrow k.Kernel.pm.Atmo_pm.Proc_mgr.proc_perms ~ptr:proc)
     .Atmo_pm.Process.pt
-
-(* The scripted workload of the trace subcommand — IPC ping-pong on two
-   CPUs, mmap / superpage / mprotect churn, IOMMU device assignment with
-   a DMA window, an NVMe phase — driven with every checker armed. *)
-let run_san_workload k ~init ~iterations =
-  let { Atmo_workloads.Worlds.receiver = t2; programs; _ } =
-    Lockcheck.locked ~site:"san.harness" ~cpu:0 (fun () ->
-        Atmo_workloads.Worlds.ping_pong k ~init)
-  in
-  let stats =
-    match Atmo_sim.Smp.run k ~cost:Atmo_sim.Cost.default ~cpus:2 ~programs ~iterations with
-    | Ok s -> s
-    | Error msg -> Fmt.failwith "san: smp phase failed: %s" msg
-  in
-  (* memory phase: small pages, user-level MMU walks, permission
-     tightening, then a superpage round trip *)
-  let s4k = Atmo_pmem.Page_state.S4k and s2m = Atmo_pmem.Page_state.S2m in
-  let rw = Atmo_hw.Pte_bits.perm_rw and ro = Atmo_hw.Pte_bits.perm_ro in
-  ignore (locked_step k ~thread:init (Syscall.Mmap { va = 0x4000_0000; count = 8; size = s4k; perm = rw }));
-  for i = 0 to 7 do
-    ignore (Kernel.resolve_user k ~thread:init ~vaddr:(0x4000_0000 + (i * 0x1000)))
-  done;
-  ignore (locked_step k ~thread:init (Syscall.Mprotect { va = 0x4000_0000; perm = ro }));
-  ignore (locked_step k ~thread:init (Syscall.Munmap { va = 0x4000_0000; count = 8; size = s4k }));
-  ignore (locked_step k ~thread:init (Syscall.Mmap { va = 0x8000_0000; count = 1; size = s2m; perm = rw }));
-  ignore (locked_step k ~thread:init (Syscall.Munmap { va = 0x8000_0000; count = 1; size = s2m }));
-  (* device phase: an IOMMU domain with a live DMA window, interrupt
-     routed through the shared endpoint *)
-  ignore (locked_step k ~thread:init (Syscall.Mmap { va = 0x5000_0000; count = 1; size = s4k; perm = rw }));
-  (match locked_step k ~thread:init (Syscall.Assign_device { device = 7 }) with
-   | Syscall.Runit -> ()
-   | r -> Fmt.failwith "san: assign_device -> %a" Syscall.pp_ret r);
-  ignore (locked_step k ~thread:init (Syscall.Io_map { device = 7; iova = 0x1_0000; va = 0x5000_0000 }));
-  ignore (locked_step k ~thread:init (Syscall.Register_irq { device = 7; slot = 0 }));
-  ignore (locked_step k ~thread:t2 (Syscall.Recv { slot = 0 }));
-  ignore (locked_step k ~thread:init (Syscall.Irq_fire { device = 7 }));
-  ignore (locked_step k ~thread:init (Syscall.Io_unmap { device = 7; iova = 0x1_0000 }));
-  (* container lifecycle: delegate quota, then revoke it wholesale *)
-  (match locked_step k ~thread:init (Syscall.New_container { quota = 64; cpus = Atmo_util.Iset.empty }) with
-   | Syscall.Rptr c ->
-     ignore (locked_step k ~thread:init (Syscall.Terminate_container { container = c }))
-   | r -> Fmt.failwith "san: new_container -> %a" Syscall.pp_ret r);
-  (* NVMe phase (driver-private buffers; exercises the cost model and
-     the flight recorder, not the shadow map) *)
-  let dclock = Atmo_hw.Clock.create () in
-  let nvme = Atmo_drivers.Nvme.create ~clock:dclock ~cost:Atmo_sim.Cost.default ~capacity_blocks:1024 in
-  Atmo_drivers.Nvme.set_device nvme 7;
-  let block = Bytes.make Atmo_drivers.Nvme.block_bytes 'a' in
-  for lba = 0 to 7 do
-    ignore (Atmo_drivers.Nvme.submit_write nvme ~lba ~data:block)
-  done;
-  ignore (Atmo_drivers.Nvme.wait_all nvme);
-  (stats, t2)
 
 (* ------------------------------------------------------------------ *)
 (* Driver plants: each must trip exactly its Driver_lint rule. *)
@@ -890,10 +732,9 @@ let plant_stale_tlb k ~init =
   Phys_mem.write_u64 (Page_table.mem pt) ~addr:slot 0L;
   ignore (Atmo_san.Tlb_lint.lint k)
 
-let plant_fastpath_skip k ~init ~t2 =
-  let pm = k.Kernel.pm in
-  (* park the workload's receiver on the shared endpoint (draining any
-     leftover messages first) so a sender finds a rendezvous partner *)
+(* Park the workload's receiver on the shared endpoint, draining any
+   leftover messages first, so a sender finds a rendezvous partner. *)
+let park_receiver k ~t2 =
   let rec park n =
     if n = 0 then Fmt.failwith "san: could not park the receiver"
     else
@@ -902,7 +743,11 @@ let plant_fastpath_skip k ~init ~t2 =
       | Syscall.Rmsg _ -> park (n - 1)
       | r -> Fmt.failwith "san: park recv -> %a" Syscall.pp_ret r
   in
-  park 8;
+  park 8
+
+let plant_fastpath_skip k ~init ~t2 =
+  let pm = k.Kernel.pm in
+  park_receiver k ~t2;
   (* put the sender alone on the CPU: with t2 parked, init is the only
      schedulable thread left *)
   if Atmo_pm.Proc_mgr.current pm = None then
@@ -929,15 +774,7 @@ let plant_span_leak k ~init ~t2 =
   (* park the receiver so init's send rendezvouses, then force the
      slowpath and make it drop the rendezvous span's end: the open-span
      stack is left unbalanced at quiescence *)
-  let rec park n =
-    if n = 0 then Fmt.failwith "san: could not park the receiver"
-    else
-      match locked_step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
-      | Syscall.Rblocked -> ()
-      | Syscall.Rmsg _ -> park (n - 1)
-      | r -> Fmt.failwith "san: park recv -> %a" Syscall.pp_ret r
-  in
-  park 8;
+  park_receiver k ~t2;
   Kernel.set_fastpath false;
   Kernel.set_span_leak_plant true;
   Fun.protect
@@ -1036,109 +873,125 @@ let plant_stalled_cpu k =
     beat 0
   done;
   Obs_monitor.finish m ~now:!vnow;
-  ignore (Atmo_san.Watchdog_lint.lint k);
-  Obs_monitor.disarm ()
+  ignore (Atmo_san.Watchdog_lint.lint k)
 
-let san plant iterations seed =
-  setup_logs ();
-  Obs_metrics.reset ();
-  Obs_span.reset ();
-  Model.reset ();
-  (* trace into a flight recorder so violation reports carry the event
-     trail leading up to them *)
-  let recorder = Obs_flight.create ~cpus:2 ~slots:256 ~slot_size:Obs_event.slot_bytes in
-  Obs_sink.install (Obs_sink.Flight recorder);
-  San_runtime.arm ~poison:true ~lockcheck:true ~attribution:true ();
-  let finish code =
-    San_runtime.disarm ();
-    Obs_sink.install Obs_sink.Disabled;
-    Obs_sink.set_clock (fun () -> 0);
-    Obs_sink.set_cpu 0;
-    Obs_span.reset ();
-    Model.reset ();
-    if code <> 0 then
-      Format.printf "san: failing run is replayable with --seed %d@." seed;
-    code
-  in
+(* Every plant, once: its flag name, the rule that must catch it,
+   whether it must trip that rule alone, and its --plant doc. *)
+type plant = {
+  name : string;
+  rule : San_report.rule;
+  surgical : bool;
+  doc : string;
+  plant : Kernel.t -> init:int -> t2:int -> unit;
+}
+
+let plants =
+  let row ?(surgical = false) name rule doc plant = { name; rule; surgical; doc; plant } in
+  [
+    row "double-free" San_report.Double_free "a kernel page freed twice"
+      (fun k ~init:_ ~t2:_ -> plant_double_free k);
+    row "unlocked" San_report.Unlocked_mutation "mutation without the big lock"
+      (fun k ~init ~t2:_ -> plant_unlocked k ~init);
+    row "bad-pte" San_report.Malformed_pte "reserved bits in a leaf entry"
+      (fun k ~init ~t2:_ -> plant_bad_pte k ~init);
+    row "stale-tlb" San_report.Tlb_stale "a PTE torn out without a TLB shootdown"
+      (fun k ~init ~t2:_ -> plant_stale_tlb k ~init);
+    row "fastpath-skip" San_report.Sched_incoherent
+      "the IPC fastpath forgets to requeue the preempted sender" plant_fastpath_skip;
+    row "span-leak" San_report.Span_leak
+      "the IPC slowpath opens its rendezvous span and never closes it" plant_span_leak;
+    row "lock-order" San_report.Lock_order
+      "a kernel path acquires a cpu-queue lock while holding an endpoint shard, \
+       inverting the hierarchy"
+      (fun _ ~init:_ ~t2:_ -> plant_lock_order ());
+    row "queue-corrupt" San_report.Queue_corrupt
+      "a thread enqueued on two CPUs' run queues at once"
+      (fun k ~init ~t2:_ -> plant_queue_corrupt k ~init);
+    row "lost-steal" San_report.Lost_steal
+      "a terminate races an in-flight work steal, leaving the thief a dead thread \
+       reference"
+      (fun k ~init ~t2:_ -> plant_lost_steal k ~init);
+    row ~surgical:true "undefined-state" San_report.Drv_undefined_state
+      "a device model pushed into the state the driver theorems forbid"
+      (fun k ~init:_ ~t2:_ -> plant_undefined_state k);
+    row ~surgical:true "dma-escape" San_report.Drv_dma_escape
+      "device DMA outside its IOMMU window reaches memory"
+      (fun k ~init:_ ~t2:_ -> plant_dma_escape k);
+    row ~surgical:true "irq-storm" San_report.Drv_irq_storm
+      "auto-mask disabled, vector never acked"
+      (fun k ~init:_ ~t2:_ -> plant_irq_storm k);
+    row ~surgical:true "lost-completion" San_report.Drv_lost_completion
+      "the NVMe driver silently drops a completion"
+      (fun k ~init:_ ~t2:_ -> plant_lost_completion k);
+    row ~surgical:true "stalled-cpu" San_report.Watchdog_silent
+      "a CPU silently stops scheduling under an armed SLO monitor; the watchdog's \
+       dead-heartbeat rule must file watchdog-silent"
+      (fun k ~init:_ ~t2:_ -> plant_stalled_cpu k);
+  ]
+
+(* Boot, run the scripted workload under the big lock with every
+   checker armed and the hostile device sweep, then plant (if asked)
+   and require the plant's rule — alone, for a surgical plant. *)
+let san_run plant ~iterations ~seed =
   match Kernel.boot Kernel.default_boot with
   | Error e ->
     Format.eprintf "boot: %a@." Atmo_util.Errno.pp e;
-    finish 1
+    1
   | Ok (k, init) ->
     San_runtime.attach k;
-    let stats, t2 = run_san_workload k ~init ~iterations in
+    let s = Atmo_workloads.Worlds.scripted big_lock k ~init ~iterations in
     let absorbed = Atmo_workloads.Worlds.hostile_sweep ~seed ~steps:200 in
     let structural = San_runtime.full_check k in
-    let clean_count = San_report.count () in
     Format.printf
       "san: %d syscalls under the big lock, %d accesses checked, %d hostile fault(s) \
        absorbed as typed errors (seed %d), %d structural check(s) failed@."
-      stats.Atmo_sim.Smp.syscalls_executed
+      s.Atmo_workloads.Worlds.smp.Atmo_sim.Smp.syscalls_executed
       (Atmo_san.Memsan.checked ())
       absorbed seed structural;
     (match plant with
-     | "none" ->
-       if clean_count = 0 then begin
-         Format.printf "clean: no violations.@.";
-         finish 0
-       end
-       else begin
-         Format.printf "%a@." San_report.pp_summary ();
-         finish 1
-       end
-     | _ ->
-       if clean_count <> 0 then begin
-         Format.printf "workload was not clean before planting:@.%a@."
-           San_report.pp_summary ();
-         finish 1
-       end
-       else begin
-         let expected =
-           match plant with
-           | "double-free" -> plant_double_free k; San_report.Double_free
-           | "unlocked" -> plant_unlocked k ~init; San_report.Unlocked_mutation
-           | "bad-pte" -> plant_bad_pte k ~init; San_report.Malformed_pte
-           | "stale-tlb" -> plant_stale_tlb k ~init; San_report.Tlb_stale
-           | "fastpath-skip" ->
-             plant_fastpath_skip k ~init ~t2; San_report.Sched_incoherent
-           | "span-leak" -> plant_span_leak k ~init ~t2; San_report.Span_leak
-           | "lock-order" -> plant_lock_order (); San_report.Lock_order
-           | "queue-corrupt" ->
-             plant_queue_corrupt k ~init; San_report.Queue_corrupt
-           | "lost-steal" -> plant_lost_steal k ~init; San_report.Lost_steal
-           | "undefined-state" ->
-             plant_undefined_state k; San_report.Drv_undefined_state
-           | "dma-escape" -> plant_dma_escape k; San_report.Drv_dma_escape
-           | "irq-storm" -> plant_irq_storm k; San_report.Drv_irq_storm
-           | "lost-completion" ->
-             plant_lost_completion k; San_report.Drv_lost_completion
-           | "stalled-cpu" -> plant_stalled_cpu k; San_report.Watchdog_silent
-           | other -> Fmt.failwith "san: unknown plant %S" other
-         in
-         let hits, others =
-           List.partition (fun r -> r.San_report.rule = expected) (San_report.reports ())
-         in
-         let surgical =
-           (* these plants must trip exactly their rule, nothing else *)
-           match expected with
-           | San_report.Drv_undefined_state | San_report.Drv_dma_escape
-           | San_report.Drv_irq_storm | San_report.Drv_lost_completion
-           | San_report.Watchdog_silent -> true
-           | _ -> false
-         in
-         match hits with
-         | _ :: _ when surgical && others <> [] ->
-           Format.printf "planted %s tripped %d unrelated report(s) too:@.%a@." plant
-             (List.length others) San_report.pp_summary ();
-           finish 1
-         | r :: _ ->
-           Format.printf "planted %s detected:@.%a@." plant San_report.pp r;
-           finish 0
-         | [] ->
-           Format.printf "planted %s NOT detected (%d other report(s)):@.%a@." plant
-             (San_report.count ()) San_report.pp_summary ();
-           finish 1
-       end)
+     | None when San_report.count () = 0 ->
+       Format.printf "clean: no violations.@.";
+       0
+     | None ->
+       Format.printf "%a@." San_report.pp_summary ();
+       1
+     | Some _ when San_report.count () <> 0 ->
+       Format.printf "workload was not clean before planting:@.%a@." San_report.pp_summary ();
+       1
+     | Some p -> (
+       p.plant k ~init ~t2:s.Atmo_workloads.Worlds.world.receiver;
+       let hits, others =
+         List.partition (fun r -> r.San_report.rule = p.rule) (San_report.reports ())
+       in
+       match hits with
+       | _ :: _ when p.surgical && others <> [] ->
+         Format.printf "planted %s tripped %d unrelated report(s) too:@.%a@." p.name
+           (List.length others) San_report.pp_summary ();
+         1
+       | r :: _ ->
+         Format.printf "planted %s detected:@.%a@." p.name San_report.pp r;
+         0
+       | [] ->
+         Format.printf "planted %s NOT detected (%d other report(s)):@.%a@." p.name
+           (San_report.count ()) San_report.pp_summary ();
+         1))
+
+(* Trace into a flight recorder so violation reports carry the event
+   trail leading up to them. *)
+let san plant iterations seed =
+  setup_logs ();
+  Model.reset ();
+  let code =
+    Obs_session.with_flight ~slots:256 (fun _ ->
+        San_runtime.arm ~poison:true ~lockcheck:true ~attribution:true ();
+        Fun.protect
+          ~finally:(fun () ->
+            San_runtime.disarm ();
+            Model.reset ())
+          (fun () -> san_run plant ~iterations ~seed))
+  in
+  if code <> 0 then Format.printf "san: failing run is replayable with --seed %d@." seed;
+  code
 
 (* ------------------------------------------------------------------ *)
 
@@ -1364,38 +1217,13 @@ let monitor_cmd =
 let plant_arg =
   Arg.(
     value
-    & opt
-        (enum
-           [ ("none", "none"); ("double-free", "double-free");
-             ("unlocked", "unlocked"); ("bad-pte", "bad-pte");
-             ("stale-tlb", "stale-tlb"); ("fastpath-skip", "fastpath-skip");
-             ("span-leak", "span-leak"); ("lock-order", "lock-order");
-             ("queue-corrupt", "queue-corrupt"); ("lost-steal", "lost-steal");
-             ("undefined-state", "undefined-state");
-             ("dma-escape", "dma-escape"); ("irq-storm", "irq-storm");
-             ("lost-completion", "lost-completion");
-             ("stalled-cpu", "stalled-cpu") ])
-        "none"
+    & opt (enum (("none", None) :: List.map (fun p -> (p.name, Some p)) plants)) None
     & info [ "plant" ]
         ~doc:
-          "Plant a bug after the clean workload and require the sanitizer to catch it: \
-           $(b,double-free), $(b,unlocked) (mutation without the big lock), \
-           $(b,bad-pte) (reserved bits in a leaf entry), $(b,stale-tlb) \
-           (a PTE torn out without a TLB shootdown), $(b,fastpath-skip) \
-           (the IPC fastpath forgets to requeue the preempted sender), \
-           $(b,span-leak) (the IPC slowpath opens its rendezvous span and never \
-           closes it), $(b,lock-order) (a kernel path acquires a cpu-queue lock \
-           while holding an endpoint shard, inverting the hierarchy), \
-           $(b,queue-corrupt) (a thread enqueued on two CPUs' run queues at once), \
-           $(b,lost-steal) (a terminate races an in-flight work steal, leaving the \
-           thief a dead thread reference), \
-           $(b,undefined-state) (a device model pushed into the state \
-           the driver theorems forbid), $(b,dma-escape) (device DMA outside its \
-           IOMMU window reaches memory), $(b,irq-storm) (auto-mask disabled, vector \
-           never acked), $(b,lost-completion) (the NVMe driver silently drops a \
-           completion) or $(b,stalled-cpu) (a CPU silently stops scheduling under an \
-           armed SLO monitor; the watchdog's dead-heartbeat rule must file \
-           watchdog-silent).")
+          ("Plant a bug after the clean workload and require the sanitizer to catch it: "
+          ^ String.concat ", "
+              (List.map (fun p -> Printf.sprintf "$(b,%s) (%s)" p.name p.doc) plants)
+          ^ "."))
 
 let san_iters_arg =
   Arg.(value & opt int 50 & info [ "iterations" ] ~doc:"IPC ping-pong rounds in the SMP phase.")

@@ -135,32 +135,6 @@ let tag_of_name name =
 
 let all_tags_mask = ((1 lsl (tag_count + 1)) - 1) land lnot 1
 
-let kind = function
-  | Syscall_enter _ -> "syscall_enter"
-  | Syscall_exit _ -> "syscall_exit"
-  | Page_alloc _ -> "page_alloc"
-  | Page_free _ -> "page_free"
-  | Superpage_merge _ -> "superpage_merge"
-  | Ep_create _ -> "ep_create"
-  | Ep_send _ -> "ep_send"
-  | Ep_recv _ -> "ep_recv"
-  | Ep_block _ -> "ep_block"
-  | Mmu_walk _ -> "mmu_walk"
-  | Pte_touch _ -> "pte_touch"
-  | Drv_doorbell _ -> "drv_doorbell"
-  | Drv_completion _ -> "drv_completion"
-  | Lock_acquire _ -> "lock_acquire"
-  | Tlb_hit _ -> "tlb_hit"
-  | Tlb_miss _ -> "tlb_miss"
-  | Tlb_flush _ -> "tlb_flush"
-  | Ep_fastpath _ -> "ep_fastpath"
-  | Span_begin _ -> "span_begin"
-  | Span_end _ -> "span_end"
-  | Causal _ -> "causal"
-  | Dev_fault _ -> "dev_fault"
-  | Dev_recover _ -> "dev_recover"
-  | Span_pair _ -> "span_pair"
-
 (* ------------------------------------------------------------------ *)
 (* Binary encoding                                                     *)
 
@@ -229,6 +203,8 @@ let fields = function
 let tag_of ev =
   let tag, _, _, _, _ = fields ev in
   tag
+
+let kind ev = tag_name (tag_of ev)
 
 let encode ~ts ~cpu ev =
   let tag, aux, a, b, c = fields ev in

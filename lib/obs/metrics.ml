@@ -56,26 +56,28 @@ module Histogram = struct
   let min_value t = if t.n = 0 then 0 else t.vmin
   let max_value t = t.vmax
 
-  (* Upper edge of the bucket holding the q-th ranked observation,
-     clamped to the observed extremes.  Monotone in q by construction
-     (cumulative counts are non-decreasing). *)
-  let quantile t q =
-    if t.n = 0 then 0
+  (* Upper edge of the bucket holding the q-th ranked sample of [n]
+     (0 when empty).  Monotone in q by construction: cumulative counts
+     are non-decreasing.  Shared with [Snapshot.quantile]. *)
+  let bucket_quantile counts n q =
+    if n <= 0 then 0
     else begin
       let q = Float.min 1. (Float.max 0. q) in
-      let rank = max 1 (int_of_float (ceil (q *. float_of_int t.n))) in
+      let rank = max 1 (int_of_float (ceil (q *. float_of_int n))) in
       let rec go i cum =
-        if i >= bucket_count then t.vmax
+        if i >= bucket_count then max_int
         else begin
-          let cum = cum + t.counts.(i) in
-          if cum >= rank then
-            let upper = if i >= 62 then max_int else (1 lsl (i + 1)) - 1 in
-            max (min upper t.vmax) (min_value t)
+          let cum = cum + counts.(i) in
+          if cum >= rank then if i >= 62 then max_int else (1 lsl (i + 1)) - 1
           else go (i + 1) cum
         end
       in
       go 0 0
     end
+
+  (* The bucket walk, clamped to the observed extremes. *)
+  let quantile t q =
+    if t.n = 0 then 0 else max (min (bucket_quantile t.counts t.n q) t.vmax) (min_value t)
 
   let p50 t = quantile t 0.50
   let p90 t = quantile t 0.90
@@ -239,25 +241,11 @@ module Snapshot = struct
         { acc with n = acc.n + h.n; sum = acc.sum + h.sum })
       acc hs
 
-  (* Same bucket walk as [Histogram.quantile] minus the observed-extreme
-     clamp (a delta has no extremes): the result is the upper edge of
-     the selected bucket, so it lands in the same log2 bucket as the
+  (* The histogram's bucket walk without the observed-extreme clamp (a
+     delta has no extremes): the result is the upper edge of the
+     selected bucket, so it lands in the same log2 bucket as the
      exact-valued quantile over the same samples. *)
-  let quantile h q =
-    if h.n <= 0 then 0
-    else begin
-      let q = Float.min 1. (Float.max 0. q) in
-      let rank = max 1 (int_of_float (ceil (q *. float_of_int h.n))) in
-      let rec go i cum =
-        if i >= Histogram.bucket_count then max_int
-        else begin
-          let cum = cum + h.counts.(i) in
-          if cum >= rank then if i >= 62 then max_int else (1 lsl (i + 1)) - 1
-          else go (i + 1) cum
-        end
-      in
-      go 0 0
-    end
+  let quantile h q = Histogram.bucket_quantile h.counts h.n q
 end
 
 let pp_table ppf () =

@@ -122,6 +122,8 @@ let set_sample_all ~shift =
     set_sample ~tag ~shift
   done
 
+let get_sample ~tag = if tag < 1 || tag > Event.tag_count then 0 else sample_shift.(tag)
+
 let tracing_tag tag = !enabled_mask land (1 lsl tag) <> 0
 
 (* The full admission gate: mask, then sampling.  A masked-off kind

@@ -59,6 +59,9 @@ val set_sample : tag:int -> shift:int -> unit
 val set_sample_all : shift:int -> unit
 (** {!set_sample} for every tag. *)
 
+val get_sample : tag:int -> int
+(** The sample shift of [tag]; 0 for an out-of-range tag. *)
+
 val admit : int -> bool
 (** The full admission gate: {!tracing_tag} plus the sampling decision
     (tallying a rejection).  The [emit_*] writers call it internally;

@@ -15,17 +15,11 @@ type t = {
 
 let make ?reads ~name ~group run = { name; group; reads; run }
 
-(* Monotonic-ish clock: this OCaml's Unix lacks [clock_gettime], so
-   clamp gettimeofday through a high-water mark — elapsed times can
-   never go negative under a clock step, which is the property Table 2
-   needs.  Domains race only on a float ref; a lost update merely
-   lowers the water mark back toward real time. *)
-let water = ref 0.
-
-let now () =
-  let t = Unix.gettimeofday () in
-  if t > !water then water := t;
-  !water
+(* Host seconds on bechamel's monotonic clock (clock_gettime
+   CLOCK_MONOTONIC through a noalloc stub): elapsed times can never go
+   negative under a wall-clock step, and discharge domains share no
+   state to race on. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 let discharge t =
   let t0 = now () in

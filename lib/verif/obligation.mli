@@ -37,10 +37,9 @@ val make :
   t
 
 val now : unit -> float
-(** Monotonic-by-clamping clock (gettimeofday through a high-water
-    mark): successive calls never decrease, so elapsed times cannot go
-    negative under wall-clock steps.  [Unix.clock_gettime] is absent
-    from this toolchain's Unix binding. *)
+(** Host seconds on the monotonic clock ([clock_gettime
+    CLOCK_MONOTONIC], via bechamel): successive calls never decrease,
+    so elapsed times cannot go negative under wall-clock steps. *)
 
 val discharge : t -> result
 (** Run and time one obligation.  A raising obligation fails with the

@@ -184,3 +184,85 @@ let ping_pong k ~init =
     ]
   in
   { receiver; endpoint; programs }
+
+(* ------------------------------------------------------------------ *)
+(* The scripted kernel workload                                        *)
+
+type guard = { guard : 'a. (unit -> 'a) -> 'a }
+
+let unguarded = { guard = (fun f -> f ()) }
+
+type script = { world : ping_pong; smp : Smp.stats; kernel_cycles : int; drv_cycles : int }
+
+let scripted { guard } k ~init ~iterations =
+  let cost = Atmo_sim.Cost.default in
+  let world = guard (fun () -> ping_pong k ~init) in
+  let t2 = world.receiver in
+  let smp =
+    match Smp.run k ~cost ~cpus:2 ~programs:world.programs ~iterations with
+    | Ok s -> s
+    | Error msg -> Fmt.failwith "scripted: smp phase failed: %s" msg
+  in
+  (* past the SMP phase a virtual clock continues where its timeline
+     stopped; each harness step advances it by the call's model cost *)
+  let vnow = ref smp.Smp.wall_cycles in
+  let tracing = Atmo_obs.Sink.tracing () in
+  if tracing then Atmo_obs.Sink.set_clock (fun () -> !vnow);
+  let step thread call =
+    let r = guard (fun () -> Kernel.step k ~thread call) in
+    let c = Smp.syscall_cycles cost call in
+    vnow := !vnow + c;
+    if tracing then Atmo_obs.Metrics.observe ("lat/syscall/" ^ Syscall.name call) c;
+    r
+  in
+  let fail what r = Fmt.failwith "scripted: %s -> %a" what Syscall.pp_ret r in
+  (* memory: small pages with user-level MMU walks (and one miss),
+     permission tightening, then a 2 MiB mapping that forces superpage
+     formation out of free 4 KiB frames *)
+  let s4k = Atmo_pmem.Page_state.S4k and s2m = Atmo_pmem.Page_state.S2m in
+  let rw = Atmo_hw.Pte_bits.perm_rw and ro = Atmo_hw.Pte_bits.perm_ro in
+  ignore (step init (Syscall.Mmap { va = 0x4000_0000; count = 8; size = s4k; perm = rw }));
+  for i = 0 to 7 do
+    ignore (Kernel.resolve_user k ~thread:init ~vaddr:(0x4000_0000 + (i * 0x1000)))
+  done;
+  ignore (Kernel.resolve_user k ~thread:init ~vaddr:0x7fff_0000);
+  ignore (step init (Syscall.Mprotect { va = 0x4000_0000; perm = ro }));
+  ignore (step init (Syscall.Munmap { va = 0x4000_0000; count = 8; size = s4k }));
+  ignore (step init (Syscall.Mmap { va = 0x8000_0000; count = 1; size = s2m; perm = rw }));
+  ignore (step init (Syscall.Munmap { va = 0x8000_0000; count = 1; size = s2m }));
+  (* one last rendezvous in the other direction: the sender goes
+     first, the receiver harvests it *)
+  ignore (step init (Syscall.Send { slot = 0; msg = Message.scalars_only [ 99 ] }));
+  ignore (step t2 (Syscall.Recv { slot = 0 }));
+  (* devices: an IOMMU domain with a live DMA window, and an interrupt
+     routed through the shared endpoint to the parked receiver *)
+  ignore (step init (Syscall.Mmap { va = 0x5000_0000; count = 1; size = s4k; perm = rw }));
+  (match step init (Syscall.Assign_device { device = 7 }) with
+   | Syscall.Runit -> ()
+   | r -> fail "assign_device" r);
+  ignore (step init (Syscall.Io_map { device = 7; iova = 0x1_0000; va = 0x5000_0000 }));
+  ignore (step init (Syscall.Register_irq { device = 7; slot = 0 }));
+  ignore (step t2 (Syscall.Recv { slot = 0 }));
+  ignore (step init (Syscall.Irq_fire { device = 7 }));
+  ignore (step init (Syscall.Io_unmap { device = 7; iova = 0x1_0000 }));
+  (* containers: delegate quota, then revoke it wholesale *)
+  (match step init (Syscall.New_container { quota = 64; cpus = Atmo_util.Iset.empty }) with
+   | Syscall.Rptr c -> ignore (step init (Syscall.Terminate_container { container = c }))
+   | r -> fail "new_container" r);
+  (* NVMe: driver-private buffers on a device clock that continues the
+     virtual one *)
+  let dclock = Clock.create () in
+  Clock.advance dclock !vnow;
+  if tracing then Atmo_obs.Sink.set_clock (fun () -> Clock.now dclock);
+  let nvme = Nvme.create ~clock:dclock ~cost ~capacity_blocks:1024 in
+  Nvme.set_device nvme 7;
+  let block = Bytes.make Nvme.block_bytes 'a' in
+  for lba = 0 to 7 do
+    ignore (Nvme.submit_write nvme ~lba ~data:block)
+  done;
+  ignore (Nvme.wait_all nvme);
+  for lba = 0 to 3 do
+    ignore (Nvme.submit_read nvme ~lba)
+  done;
+  ignore (Nvme.wait_all nvme);
+  { world; smp; kernel_cycles = !vnow; drv_cycles = Clock.now dclock }

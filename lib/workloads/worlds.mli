@@ -47,3 +47,30 @@ val ping_pong : Atmo_core.Kernel.t -> init:int -> ping_pong
 (** Build the ping-pong world on a freshly booted kernel through two
     [init] syscalls ([New_thread], [New_endpoint {slot = 0}]) and one
     handoff.  Callers that model the big lock wrap the call in it. *)
+
+(** {2 The scripted kernel workload}
+
+    What [atmo trace] records and [atmo san] checks: {!ping_pong} for
+    [iterations] rounds on two CPUs, then harness steps from [init] —
+    mmap with MMU walks, mprotect, munmap and a 2 MiB superpage round
+    trip; one more rendezvous; IOMMU assignment with a DMA window and an
+    interrupt to the parked receiver; a container created and
+    terminated — and an NVMe write/read phase.  Past the SMP phase a
+    virtual clock advances by each step's model cost; while a recorder
+    is installed it stamps events and each step lands in
+    [lat/syscall/<name>].  Cycle totals do not depend on the sink. *)
+
+type guard = { guard : 'a. (unit -> 'a) -> 'a }
+(** Wrapped around the world build and every harness step; the
+    sanitizer passes the modelled big lock. *)
+
+val unguarded : guard
+
+type script = {
+  world : ping_pong;
+  smp : Atmo_sim.Smp.stats;  (** the ping-pong phase *)
+  kernel_cycles : int;  (** the virtual clock after the last harness step *)
+  drv_cycles : int;  (** the NVMe device clock at the end *)
+}
+
+val scripted : guard -> Atmo_core.Kernel.t -> init:int -> iterations:int -> script

@@ -15,10 +15,8 @@ module Virtio_blk = Atmo_drivers.Virtio_blk
 module Virtio_ring = Atmo_drivers.Virtio_ring
 module Phys_mem = Atmo_hw.Phys_mem
 module Clock = Atmo_hw.Clock
-module Kernel = Atmo_core.Kernel
 module Event = Atmo_obs.Event
 module Sink = Atmo_obs.Sink
-module Flight = Atmo_obs.Flight
 module San_report = Atmo_san.Report
 module Driver_lint = Atmo_san.Driver_lint
 module Kv_demo = Atmo_workloads.Kv_demo
@@ -26,11 +24,6 @@ module Worlds = Atmo_workloads.Worlds
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-
-let boot () =
-  match Kernel.boot Kernel.default_boot with
-  | Ok (k, _init) -> k
-  | Error e -> Alcotest.failf "boot: %a" Atmo_util.Errno.pp e
 
 (* Run [f] with a clean model registry and report table on both sides,
    so no test leaks device models into another. *)
@@ -92,7 +85,7 @@ let test_hostile_determinism () =
 
 let test_irq_storm_auto_mask () =
   with_clean_models (fun () ->
-      let k = boot () in
+      let k, _ = Helpers.boot () in
       let masked = Model.register ~name:"stormA" ~device:31 ~initial:Model.Active in
       for _ = 1 to Model.storm_threshold + 8 do
         Model.raise_irq masked
@@ -123,7 +116,7 @@ let test_irq_storm_auto_mask () =
    say — no undefined state, no escaped DMA, no storm, no lost
    completion. *)
 let test_hostile_sweep_survives () =
-  let k = boot () in
+  let k, _ = Helpers.boot () in
   List.iter
     (fun seed ->
       with_clean_models (fun () ->
@@ -141,11 +134,7 @@ let test_hostile_sweep_survives () =
 (* Hostile faults surface as Dev_fault flight-recorder events. *)
 let test_hostile_faults_traced () =
   with_clean_models (fun () ->
-      let recorder = Flight.create ~cpus:1 ~slots:256 ~slot_size:Event.slot_bytes in
-      Sink.install (Sink.Flight recorder);
-      Fun.protect
-        ~finally:(fun () -> Sink.install Sink.Disabled)
-        (fun () ->
+      Atmo_obs.Session.with_flight ~cpus:1 ~slots:256 (fun _ ->
           let absorbed = Worlds.hostile_blk_sweep ~seed:5 ~steps:64 ~kind:`Nvme in
           let faults =
             List.filter

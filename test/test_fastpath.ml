@@ -7,7 +7,6 @@
    intrusive O(1) run-queue deque that the fastpath manipulates by
    hand. *)
 
-open Atmo_util
 module Syscall = Atmo_spec.Syscall
 module Kernel = Atmo_core.Kernel
 module Invariants = Atmo_core.Invariants
@@ -29,16 +28,11 @@ let expect_wf what k =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "%s: total_wf broken: %s" what msg
 
-let boot () =
-  match Kernel.boot Kernel.default_boot with
-  | Ok (k, init) -> (k, init)
-  | Error e -> Alcotest.failf "boot failed: %a" Errno.pp e
-
 (* A kernel with three threads all holding the same endpoint in slot 0,
    as a spawner would arrange.  Both oracle kernels run this exact
    setup, so their initial states are identical. *)
 let world () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let spawn () =
     match Kernel.step k ~thread:init Syscall.New_thread with
     | Syscall.Rptr t -> t

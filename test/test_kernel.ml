@@ -22,11 +22,6 @@ let expect_wf k =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "total_wf broken: %s" msg
 
-let boot () =
-  match Kernel.boot Kernel.default_boot with
-  | Ok (k, init) -> (k, init)
-  | Error e -> Alcotest.failf "boot failed: %a" Errno.pp e
-
 let step = Kernel.step
 
 let ptr what = function
@@ -72,13 +67,13 @@ let test_boot_loader_rejects_tiny_map () =
           ~cpus:(Iset.singleton 0)))
 
 let test_boot_wf () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   checkb "init thread alive" true (Kernel.thread_alive k ~thread:init);
   checkb "init is current" true (Proc_mgr.current k.Kernel.pm = Some init);
   expect_wf k
 
 let test_mmap_munmap () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   (match mmap ~count:4 k init with
    | Syscall.Rmapped frames ->
      checki "four frames" 4 (List.length frames);
@@ -91,7 +86,7 @@ let test_mmap_munmap () =
   expect_wf k
 
 let test_mmap_2m () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   (match mmap ~size:Page_state.S2m ~va:0x4000_0000 k init with
    | Syscall.Rmapped [ frame ] ->
      checkb "2m aligned frame" true (frame mod (512 * 4096) = 0)
@@ -99,7 +94,7 @@ let test_mmap_2m () =
   expect_wf k
 
 let test_mmap_rejects_bad_args () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   expect_err "unaligned" Errno.Einval
     (step k ~thread:init
        (Syscall.Mmap { va = va0 + 1; count = 1; size = Page_state.S4k; perm = Pte.perm_rw }));
@@ -117,7 +112,7 @@ let test_mmap_rejects_bad_args () =
 let test_mmap_failure_is_atomic () =
   (* exhaust quota so a multi-page mmap fails after partial progress
      would have happened; the abstract state must be untouched *)
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let before = Abstraction.abstract k in
   expect_err "too big for quota" Errno.Equota
     (step k ~thread:init
@@ -126,7 +121,7 @@ let test_mmap_failure_is_atomic () =
   expect_wf k
 
 let test_mprotect () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   ignore (mmap k init);
   ok "mprotect" (step k ~thread:init (Syscall.Mprotect { va = va0; perm = Pte.perm_ro }));
   (match Kernel.resolve_user k ~thread:init ~vaddr:va0 with
@@ -137,7 +132,7 @@ let test_mprotect () =
   expect_wf k
 
 let test_lifecycle_syscalls () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let c = ptr "container" (step k ~thread:init (Syscall.New_container { quota = 100; cpus = Iset.empty })) in
   ignore c;
   let p = ptr "process" (step k ~thread:init Syscall.New_process) in
@@ -151,7 +146,7 @@ let test_lifecycle_syscalls () =
   expect_wf k
 
 let test_ipc_rendezvous () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let t2 = ptr "thread" (step k ~thread:init Syscall.New_thread) in
   ignore (ptr "endpoint" (step k ~thread:init (Syscall.New_endpoint { slot = 0 })));
   (* share the endpoint descriptor with t2 directly (as a spawner would
@@ -178,7 +173,7 @@ let test_ipc_rendezvous () =
   expect_wf k
 
 let test_ipc_page_grant () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   ignore (mmap k init);
   (* spawn a second process with its own thread, wire up an endpoint *)
   let p2 = ptr "p2" (step k ~thread:init Syscall.New_process) in
@@ -216,7 +211,7 @@ let test_ipc_page_grant () =
    | None -> Alcotest.fail "no delivered message")
 
 let test_ipc_endpoint_grant () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let p2 = ptr "p2" (step k ~thread:init Syscall.New_process) in
   let t2 =
     match Proc_mgr.new_thread k.Kernel.pm ~proc:p2 with
@@ -243,7 +238,7 @@ let test_ipc_endpoint_grant () =
   expect_wf k
 
 let test_yield_round_robin () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let t2 = ptr "t2" (step k ~thread:init Syscall.New_thread) in
   ok "yield" (step k ~thread:init Syscall.Yield);
   checkb "t2 scheduled" true (Proc_mgr.current k.Kernel.pm = Some t2);
@@ -252,7 +247,7 @@ let test_yield_round_robin () =
   expect_wf k
 
 let test_terminate_container_revokes () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let c = ptr "c" (step k ~thread:init (Syscall.New_container { quota = 100; cpus = Iset.empty })) in
   (* populate the container from the kernel side *)
   let p =
@@ -281,7 +276,7 @@ let test_terminate_container_revokes () =
     (step k ~thread:t2 (Syscall.Terminate_container { container = c2 }))
 
 let test_terminate_process_capability () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let p2 = ptr "p2" (step k ~thread:init Syscall.New_process) in
   ok "parent kills child" (step k ~thread:init (Syscall.Terminate_process { proc = p2 }));
   expect_wf k;
@@ -300,7 +295,7 @@ let test_terminate_process_capability () =
   expect_wf k
 
 let test_assign_device () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   ok "assign" (step k ~thread:init (Syscall.Assign_device { device = 3 }));
   expect_err "already assigned" Errno.Eexist
     (step k ~thread:init (Syscall.Assign_device { device = 3 }));
@@ -352,7 +347,7 @@ let test_assign_device () =
   expect_wf k
 
 let test_interrupt_dispatch () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   ok "assign" (step k ~thread:init (Syscall.Assign_device { device = 2 }));
   ignore (ptr "ep" (step k ~thread:init (Syscall.New_endpoint { slot = 0 })));
   (* only the owner may register, and only once *)
@@ -387,7 +382,7 @@ let test_interrupt_dispatch () =
   expect_wf k
 
 let test_interrupt_route_dies_with_endpoint () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   ok "assign" (step k ~thread:init (Syscall.Assign_device { device = 1 }));
   ignore (ptr "ep" (step k ~thread:init (Syscall.New_endpoint { slot = 3 })));
   ok "register" (step k ~thread:init (Syscall.Register_irq { device = 1; slot = 3 }));
@@ -406,7 +401,7 @@ let test_interrupt_route_dies_with_endpoint () =
   expect_wf k
 
 let test_blocked_thread_cannot_syscall () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   ignore (ptr "ep" (step k ~thread:init (Syscall.New_endpoint { slot = 0 })));
   (match step k ~thread:init (Syscall.Recv { slot = 0 }) with
    | Syscall.Rblocked -> ()
@@ -452,7 +447,7 @@ let test_mmap_1g_superpage () =
 let test_leak_freedom_full_teardown () =
   (* build a small world, tear all of it down, and check the allocator
      returns to the boot configuration *)
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let free0 = Atmo_pmem.Page_alloc.free_count_4k k.Kernel.alloc in
   let c = ptr "c" (step k ~thread:init (Syscall.New_container { quota = 200; cpus = Iset.empty })) in
   let p =

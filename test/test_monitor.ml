@@ -3,11 +3,10 @@
    quantiles checked bucket-exact against the post-mortem profiler,
    watchdog rules over synthetic series, and exemplar capture. *)
 
-module Event = Atmo_obs.Event
-module Flight = Atmo_obs.Flight
 module Metrics = Atmo_obs.Metrics
 module Sink = Atmo_obs.Sink
 module Span = Atmo_obs.Span
+module Session = Atmo_obs.Session
 module Profile = Atmo_obs.Profile
 module Export = Atmo_obs.Export
 module Timeseries = Atmo_obs.Timeseries
@@ -19,27 +18,6 @@ module Kv_demo = Atmo_workloads.Kv_demo
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  go 0
-
-(* Fresh metrics/span state and a flight recorder installed; always
-   disarm the monitor and restore the Disabled sink. *)
-let with_flight ?(slots = 4096) f =
-  Metrics.reset ();
-  Span.reset ();
-  let recorder = Flight.create ~cpus:2 ~slots ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight recorder);
-  Fun.protect
-    ~finally:(fun () ->
-      Monitor.disarm ();
-      Sink.install Sink.Disabled;
-      Sink.set_clock (fun () -> 0);
-      Sink.set_cpu 0;
-      Span.reset ())
-    (fun () -> f recorder)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics snapshots: deterministic order, delta clamping              *)
@@ -209,7 +187,7 @@ let test_slo_evaluate () =
    the profiler's reconstructed request durations.  Both must land in
    the same log2 bucket. *)
 let test_online_vs_postmortem_quantiles () =
-  with_flight ~slots:8192 (fun _ ->
+  Session.with_flight ~slots:8192 (fun _ ->
       let spec =
         match Slo.parse "lat/request:p99<=262143@8" with
         | Ok s -> s
@@ -257,7 +235,7 @@ let test_online_vs_postmortem_quantiles () =
 (* Beat both CPUs' heartbeats for six windows, then let CPU 1 go
    silent while CPU 0 keeps running: exactly cpu-silent must fire. *)
 let test_watchdog_cpu_silent () =
-  with_flight (fun _ ->
+  Session.with_flight (fun _ ->
       let window = 2000 in
       let m = Monitor.arm ~windows:16 ~window_cycles:window ~now:0 ~specs:[] () in
       let vnow = ref 0 in
@@ -286,7 +264,7 @@ let test_watchdog_cpu_silent () =
 
 (* Both CPUs keep beating: no findings at all. *)
 let test_watchdog_quiet_when_healthy () =
-  with_flight (fun _ ->
+  Session.with_flight (fun _ ->
       let window = 2000 in
       let m = Monitor.arm ~windows:16 ~window_cycles:window ~now:0 ~specs:[] () in
       let vnow = ref 0 in
@@ -336,7 +314,7 @@ let test_watchdog_runq_growth () =
 let test_watchdog_ring_drop () =
   (* An 8-slot ring per CPU: a burst of one-shot spans must overwrite
      the oldest records, and the next tick must report the loss. *)
-  with_flight ~slots:8 (fun _ ->
+  Session.with_flight ~slots:8 (fun _ ->
       let m = Monitor.arm ~windows:16 ~window_cycles:1_000_000 ~now:0 ~specs:[] () in
       Monitor.tick m ~now:10;
       for i = 0 to 19 do
@@ -352,7 +330,7 @@ let test_watchdog_ring_drop () =
 (* Exemplars                                                           *)
 
 let test_exemplar_coverage () =
-  with_flight ~slots:8192 (fun _ ->
+  Session.with_flight ~slots:8192 (fun _ ->
       let spec =
         match Slo.parse "lat/request:p99<=262143@8" with
         | Ok s -> s
@@ -373,11 +351,11 @@ let test_exemplar_coverage () =
       let chrome = Exemplar.chrome ex in
       checkb "chrome trace is a json array" true
         (String.length chrome > 2 && chrome.[0] = '[');
-      checkb "chrome trace carries flow events" true (contains chrome {|"ph":"s"|});
+      checkb "chrome trace carries flow events" true (Helpers.contains chrome {|"ph":"s"|});
       let refs = Exemplar.prom_refs ex in
       checki "one prometheus ref per exemplar" 4 (List.length refs);
       let prom = Export.prometheus ~exemplars:[ ("lat/request", refs) ] () in
-      checkb "exemplar exposed on a bucket line" true (contains prom "# {span=\""))
+      checkb "exemplar exposed on a bucket line" true (Helpers.contains prom "# {span=\""))
 
 let () =
   Alcotest.run "monitor"

@@ -273,15 +273,11 @@ module San_runtime = Atmo_san.Runtime
 module San_report = Atmo_san.Report
 module Lockcheck = Atmo_san.Lockcheck
 
-let with_san ?(lockcheck = false) f =
-  San_runtime.arm ~poison:true ~lockcheck ();
-  Fun.protect ~finally:(fun () -> San_runtime.disarm ()) f
-
 let san_find rule =
   List.find_opt (fun r -> r.San_report.rule = rule) (San_report.reports ())
 
 let test_san_double_free () =
-  with_san (fun () ->
+  Helpers.with_san (fun () ->
       let mem = Phys_mem.create ~page_count:256 in
       let a = Page_alloc.create mem ~reserved_frames:0 in
       let addr = Option.get (Page_alloc.alloc_4k a ~purpose:Page_alloc.Kernel) in
@@ -295,7 +291,7 @@ let test_san_double_free () =
       | Some r -> Alcotest.(check int) "faulting page" addr r.San_report.page)
 
 let test_san_use_after_free () =
-  with_san (fun () ->
+  Helpers.with_san (fun () ->
       let mem = Phys_mem.create ~page_count:256 in
       let a = Page_alloc.create mem ~reserved_frames:0 in
       let addr = Option.get (Page_alloc.alloc_4k a ~purpose:Page_alloc.Kernel) in
@@ -309,7 +305,7 @@ let test_san_use_after_free () =
 
 let test_san_unlocked_mutation () =
   let k, init = world () in
-  with_san ~lockcheck:true (fun () ->
+  Helpers.with_san ~lockcheck:true (fun () ->
       San_runtime.attach k;
       (* a bare Kernel.step: kernel state mutates inside a syscall while
          the big lock is free *)
@@ -328,7 +324,7 @@ let test_san_unlocked_mutation () =
 
 let test_san_malformed_pte () =
   let k, init = world () in
-  with_san (fun () ->
+  Helpers.with_san (fun () ->
       San_runtime.attach k;
       (match Kernel.step k ~thread:init
                (Syscall.Mmap { va = 0x7770_0000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw })
@@ -350,7 +346,7 @@ let test_san_malformed_pte () =
 
 let test_san_stale_tlb () =
   let k, init = world () in
-  with_san (fun () ->
+  Helpers.with_san (fun () ->
       San_runtime.attach k;
       (match Kernel.step k ~thread:init
                (Syscall.Mmap { va = 0x7780_0000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw })
@@ -371,33 +367,25 @@ let test_san_stale_tlb () =
       | None -> Alcotest.fail "stale TLB entry not detected"
       | Some _ -> ())
 
+(* A plain two-thread kernel sharing init's slot-0 endpoint, with the
+   second thread parked in Recv: current sender, parked receiver, empty
+   run queue. *)
+let parked_receiver () =
+  let k, init = Helpers.boot () in
+  let { Atmo_workloads.Worlds.receiver; _ } = Atmo_workloads.Worlds.ping_pong k ~init in
+  (match Kernel.step k ~thread:receiver (Syscall.Recv { slot = 0 }) with
+   | Syscall.Rblocked -> ()
+   | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);
+  (k, init)
+
 let test_san_fastpath_skip () =
   (* boot a plain two-thread kernel and park the second thread in Recv:
      current sender, parked receiver, empty run queue — the exact
      fastpath precondition.  Then plant the fastpath bug that forgets to
      requeue the preempted sender: both the structural invariant and the
      scheduler lint must catch the stranded Runnable thread. *)
-  let k, init =
-    match Kernel.boot Kernel.default_boot with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "boot: %a" Atmo_util.Errno.pp e
-  in
-  let t2 =
-    match Kernel.step k ~thread:init Syscall.New_thread with
-    | Syscall.Rptr t -> t
-    | r -> Alcotest.failf "new_thread: %a" Syscall.pp_ret r
-  in
-  (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-   | Syscall.Rptr _ -> ()
-   | r -> Alcotest.failf "new_endpoint: %a" Syscall.pp_ret r);
-  let ep =
-    Option.get (Thread.slot (Perm_map.borrow k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:init) 0)
-  in
-  Proc_mgr.share_endpoint k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
-  (match Kernel.step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
-   | Syscall.Rblocked -> ()
-   | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);
-  with_san (fun () ->
+  let k, init = parked_receiver () in
+  Helpers.with_san (fun () ->
       San_runtime.attach k;
       checkb "clean lint before plant" true (Atmo_san.Sched_lint.lint k = 0);
       Kernel.set_fastpath_skip_plant true;
@@ -421,38 +409,9 @@ let test_san_span_leak () =
      flight recorder: force the rendezvous onto the slowpath and make it
      drop the span's end — the span-balance lint must flag the span
      still open at quiescence. *)
-  let k, init =
-    match Kernel.boot Kernel.default_boot with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "boot: %a" Atmo_util.Errno.pp e
-  in
-  let t2 =
-    match Kernel.step k ~thread:init Syscall.New_thread with
-    | Syscall.Rptr t -> t
-    | r -> Alcotest.failf "new_thread: %a" Syscall.pp_ret r
-  in
-  (match Kernel.step k ~thread:init (Syscall.New_endpoint { slot = 0 }) with
-   | Syscall.Rptr _ -> ()
-   | r -> Alcotest.failf "new_endpoint: %a" Syscall.pp_ret r);
-  let ep =
-    Option.get (Thread.slot (Perm_map.borrow k.Kernel.pm.Proc_mgr.thrd_perms ~ptr:init) 0)
-  in
-  Proc_mgr.share_endpoint k.Kernel.pm ~thread:t2 ~slot:0 ~endpoint:ep;
-  (match Kernel.step k ~thread:t2 (Syscall.Recv { slot = 0 }) with
-   | Syscall.Rblocked -> ()
-   | r -> Alcotest.failf "recv should block: %a" Syscall.pp_ret r);
-  let module Obs_sink = Atmo_obs.Sink in
-  let recorder =
-    Atmo_obs.Flight.create ~cpus:1 ~slots:64 ~slot_size:Atmo_obs.Event.slot_bytes
-  in
-  Atmo_obs.Span.reset ();
-  Obs_sink.install (Obs_sink.Flight recorder);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs_sink.install Obs_sink.Disabled;
-      Atmo_obs.Span.reset ())
-    (fun () ->
-      with_san (fun () ->
+  let k, init = parked_receiver () in
+  Atmo_obs.Session.with_flight ~cpus:1 ~slots:64 (fun _ ->
+      Helpers.with_san (fun () ->
           San_runtime.attach k;
           checkb "clean lint before plant" true (Atmo_san.Span_lint.lint k = 0);
           Kernel.set_fastpath false;
@@ -514,7 +473,7 @@ let test_san_lost_completion () =
   Model.reset ();
   Fun.protect ~finally:(fun () -> Model.reset ())
     (fun () ->
-      with_san (fun () ->
+      Helpers.with_san (fun () ->
           San_runtime.attach k;
           let clock = Atmo_hw.Clock.create () in
           let dev = Nvme.create ~clock ~cost:Atmo_sim.Cost.default ~capacity_blocks:16 in
@@ -547,20 +506,8 @@ let test_san_watchdog_silent () =
   let module Span = Atmo_obs.Span in
   let module Monitor = Atmo_obs.Monitor in
   let k, _init = world () in
-  Span.reset ();
-  let recorder =
-    Atmo_obs.Flight.create ~cpus:2 ~slots:4096 ~slot_size:Atmo_obs.Event.slot_bytes
-  in
-  Sink.install (Sink.Flight recorder);
-  Fun.protect
-    ~finally:(fun () ->
-      Monitor.disarm ();
-      Sink.install Sink.Disabled;
-      Sink.set_clock (fun () -> 0);
-      Sink.set_cpu 0;
-      Span.reset ())
-    (fun () ->
-      with_san (fun () ->
+  Atmo_obs.Session.with_flight (fun _ ->
+      Helpers.with_san (fun () ->
           let window = 2_000 in
           let m = Monitor.arm ~windows:16 ~window_cycles:window ~now:0 ~specs:[] () in
           let vnow = ref 0 in

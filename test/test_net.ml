@@ -181,17 +181,12 @@ let test_http_keep_alive_10 () =
   | Ok r -> checkb "1.0 explicit keep-alive" true (Http.keep_alive r)
   | Error e -> Alcotest.failf "parse: %s" e
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let test_http_response () =
   let r = Http.response ~status:200 ~body:"hi" () in
   checkb "status line" true
     (String.length r > 15 && String.sub r 0 15 = "HTTP/1.1 200 OK");
-  checkb "content length" true (contains r "Content-Length: 2");
-  checkb "body at end" true (contains r "\r\n\r\nhi")
+  checkb "content length" true (Helpers.contains r "Content-Length: 2");
+  checkb "body at end" true (Helpers.contains r "\r\n\r\nhi")
 
 let test_httpd_routes () =
   let s = Httpd.create ~routes:[ ("/", "home"); ("/a", "page a") ] in

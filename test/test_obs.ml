@@ -6,6 +6,9 @@ module Event = Atmo_obs.Event
 module Flight = Atmo_obs.Flight
 module Metrics = Atmo_obs.Metrics
 module Sink = Atmo_obs.Sink
+module Span = Atmo_obs.Span
+module Monitor = Atmo_obs.Monitor
+module Session = Atmo_obs.Session
 module Kernel = Atmo_core.Kernel
 module Syscall = Atmo_spec.Syscall
 module Errno = Atmo_util.Errno
@@ -286,12 +289,12 @@ let test_ping_pong_world_wf () =
     wf "after the run"
 
 let test_disabled_sink_is_bit_identical () =
-  Sink.install Sink.Disabled;
   let base_stats, base_abs = run_workload () in
-  let recorder = Flight.create ~cpus:2 ~slots:256 ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight recorder);
-  let traced_stats, traced_abs = run_workload () in
-  Sink.install Sink.Disabled;
+  let (traced_stats, traced_abs), live =
+    Session.with_flight ~slots:256 (fun recorder ->
+        let r = run_workload () in
+        (r, Flight.length recorder ~cpu:0 + Flight.length recorder ~cpu:1))
+  in
   (* the simulated-cycle accounting must not move at all under tracing *)
   Alcotest.(check int) "wall cycles" base_stats.Atmo_sim.Smp.wall_cycles
     traced_stats.Atmo_sim.Smp.wall_cycles;
@@ -304,8 +307,7 @@ let test_disabled_sink_is_bit_identical () =
   Alcotest.(check bool) "identical abstract kernel state" true
     (base_abs = traced_abs);
   (* and the traced run actually recorded the hot paths *)
-  Alcotest.(check bool) "flight run captured events" true
-    (Flight.length recorder ~cpu:0 + Flight.length recorder ~cpu:1 > 0)
+  Alcotest.(check bool) "flight run captured events" true (live > 0)
 
 let test_disabled_sink_records_nothing () =
   Sink.install Sink.Disabled;
@@ -365,11 +367,12 @@ let arena_slot f idx =
 let test_writers_bit_identical_to_oracle () =
   List.iter
     (fun ev ->
-      let f = Flight.create ~cpus:1 ~slots:4 ~slot_size:Event.slot_bytes in
-      Sink.install (Sink.Flight f);
-      Sink.emit ~ts:987654 ~cpu:0 ev;
-      emit_fast ~ts:987654 ~cpu:0 ev;
-      Sink.install Sink.Disabled;
+      let f =
+        Session.with_flight ~cpus:1 ~slots:4 (fun f ->
+            Sink.emit ~ts:987654 ~cpu:0 ev;
+            emit_fast ~ts:987654 ~cpu:0 ev;
+            f)
+      in
       Alcotest.(check int) "both paths recorded" 2 (Flight.length f ~cpu:0);
       Alcotest.(check string)
         (Printf.sprintf "arena bytes identical for %s" (Event.kind ev))
@@ -381,53 +384,49 @@ let prop_fast_writer_matches_encode =
   QCheck.Test.make ~name:"fast writers byte-identical to Event.encode" ~count:300
     QCheck.(pair arb_event (int_bound 0x3fff_ffff))
     (fun (ev, ts) ->
-      let f = Flight.create ~cpus:1 ~slots:4 ~slot_size:Event.slot_bytes in
-      Sink.install (Sink.Flight f);
-      emit_fast ~ts ~cpu:0 ev;
-      Sink.install Sink.Disabled;
+      let f =
+        Session.with_flight ~cpus:1 ~slots:4 (fun f ->
+            emit_fast ~ts ~cpu:0 ev;
+            f)
+      in
       Bytes.equal (arena_slot f 0) (Event.encode ~ts ~cpu:0 ev))
 
 (* ------------------------------------------------------------------ *)
 (* per-tag filtering and sampling                                      *)
 
 let test_filter_mask_gates_kinds () =
-  let f = Flight.create ~cpus:1 ~slots:64 ~slot_size:Event.slot_bytes in
-  Sink.set_filter (1 lsl Event.tag_page_alloc);
-  Sink.install (Sink.Flight f);
-  Alcotest.(check bool) "enabled tag live" true (Sink.tracing_tag Event.tag_page_alloc);
-  Alcotest.(check bool) "masked tag off" false (Sink.tracing_tag Event.tag_tlb_hit);
-  Sink.emit_page_alloc ~ts:1 ~addr:0x1000 ~order:0 ();
-  Sink.emit_tlb_hit ~ts:2 ~vaddr:0x2000 ();
-  Sink.emit ~ts:3 (Event.Tlb_miss { vaddr = 0x3000 });
-  let rs = Sink.records () in
-  let emitted_on = Sink.emitted_count ~tag:Event.tag_page_alloc in
-  let emitted_off = Sink.emitted_count ~tag:Event.tag_tlb_hit in
-  Sink.install Sink.Disabled;
-  Sink.set_filter Event.all_tags_mask;
+  let rs, emitted_on, emitted_off =
+    Session.with_flight ~cpus:1 ~slots:64 (fun _ ->
+        Sink.set_filter (1 lsl Event.tag_page_alloc);
+        Alcotest.(check bool) "enabled tag live" true (Sink.tracing_tag Event.tag_page_alloc);
+        Alcotest.(check bool) "masked tag off" false (Sink.tracing_tag Event.tag_tlb_hit);
+        Sink.emit_page_alloc ~ts:1 ~addr:0x1000 ~order:0 ();
+        Sink.emit_tlb_hit ~ts:2 ~vaddr:0x2000 ();
+        Sink.emit ~ts:3 (Event.Tlb_miss { vaddr = 0x3000 });
+        ( Sink.records (),
+          Sink.emitted_count ~tag:Event.tag_page_alloc,
+          Sink.emitted_count ~tag:Event.tag_tlb_hit ))
+  in
   Alcotest.(check int) "only the enabled kind recorded" 1 (List.length rs);
   Alcotest.(check int) "enabled kind tallied" 1 emitted_on;
   (* a masked-off kind is one load+mask: no counter may move *)
   Alcotest.(check int) "masked kind tallies nothing" 0 emitted_off;
   Alcotest.(check bool) "mask restored" true (Sink.get_filter () = Event.all_tags_mask)
 
+(* Each session starts with fresh tallies and sampling phase. *)
 let sampling_session () =
-  let f = Flight.create ~cpus:1 ~slots:64 ~slot_size:Event.slot_bytes in
-  Sink.set_sample ~tag:Event.tag_page_alloc ~shift:2;
-  (* install starts a fresh session: tallies and sampling phase reset *)
-  Sink.install (Sink.Flight f);
-  for i = 0 to 15 do
-    Sink.emit_page_alloc ~ts:i ~addr:(0x1000 + i) ~order:0 ()
-  done;
-  let ts = List.map (fun r -> r.Event.ts) (Sink.records ()) in
-  let emitted = Sink.emitted_count ~tag:Event.tag_page_alloc in
-  let sampled = Sink.sampled_out_count ~tag:Event.tag_page_alloc in
-  Sink.install Sink.Disabled;
-  (ts, emitted, sampled)
+  Session.with_flight ~cpus:1 ~slots:64 (fun _ ->
+      Sink.set_sample ~tag:Event.tag_page_alloc ~shift:2;
+      for i = 0 to 15 do
+        Sink.emit_page_alloc ~ts:i ~addr:(0x1000 + i) ~order:0 ()
+      done;
+      ( List.map (fun r -> r.Event.ts) (Sink.records ()),
+        Sink.emitted_count ~tag:Event.tag_page_alloc,
+        Sink.sampled_out_count ~tag:Event.tag_page_alloc ))
 
 let test_sampling_deterministic_and_lossless () =
   let a = sampling_session () in
   let b = sampling_session () in
-  Sink.set_sample_all ~shift:0;
   let ts, emitted, sampled = a in
   Alcotest.(check (list int)) "keeps 1 in 4, phase 0" [ 0; 4; 8; 12 ] ts;
   Alcotest.(check int) "admitted tally exact" 4 emitted;
@@ -438,15 +437,12 @@ let test_sampling_deterministic_and_lossless () =
       Sink.set_sample ~tag:Event.tag_page_alloc ~shift:31)
 
 let test_bad_cpu_counted_not_silent () =
-  Metrics.reset ();
-  let f = Flight.create ~cpus:1 ~slots:8 ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight f);
-  Sink.emit_page_alloc ~ts:1 ~cpu:5 ~addr:0x1000 ~order:0 ();
-  Sink.emit ~ts:2 ~cpu:9 (Event.Ep_create { container = 1 });
-  let rs = Sink.records () in
-  let bad = Sink.bad_cpu_count () in
-  Sink.publish_counters ();
-  Sink.install Sink.Disabled;
+  let rs, bad =
+    Session.with_flight ~cpus:1 ~slots:8 (fun _ ->
+        Sink.emit_page_alloc ~ts:1 ~cpu:5 ~addr:0x1000 ~order:0 ();
+        Sink.emit ~ts:2 ~cpu:9 (Event.Ep_create { container = 1 });
+        (Sink.records (), Sink.bad_cpu_count ()))
+  in
   (* misfiled events still land (on ring 0) and the misfiling is loud *)
   Alcotest.(check int) "events filed on ring 0" 2 (List.length rs);
   List.iter (fun r -> Alcotest.(check int) "cpu rewritten to 0" 0 r.Event.cpu) rs;
@@ -455,15 +451,13 @@ let test_bad_cpu_counted_not_silent () =
     (Metrics.Counter.value (Metrics.counter "obs/bad_cpu"))
 
 let test_span_pair_expands_balanced () =
-  let f = Flight.create ~cpus:1 ~slots:8 ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight f);
-  Atmo_obs.Span.reset ();
-  let id = Atmo_obs.Span.pair ~ts:5 Atmo_obs.Span.Ctx_switch in
-  let rs = Sink.records () in
-  Sink.install Sink.Disabled;
-  Atmo_obs.Span.reset ();
+  let id, rs, slots_used =
+    Session.with_flight ~cpus:1 ~slots:8 (fun f ->
+        let id = Span.pair ~ts:5 Span.Ctx_switch in
+        (id, Sink.records (), Flight.length f ~cpu:0))
+  in
   Alcotest.(check bool) "pair admitted" true (id > 0);
-  Alcotest.(check int) "one ring slot" 1 (Flight.length f ~cpu:0);
+  Alcotest.(check int) "one ring slot" 1 slots_used;
   match rs with
   | [
       { Event.ev = Event.Span_begin { span = b; _ }; ts = 5; _ };
@@ -478,44 +472,82 @@ let test_span_pair_expands_balanced () =
 
 let test_kv_workload_zero_drops () =
   let module Kv = Atmo_workloads.Kv_demo in
-  let f = Flight.create ~cpus:2 ~slots:16384 ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight f);
-  Atmo_obs.Span.reset ();
-  ignore (Kv.run ~requests:40 ());
-  let records = Sink.records () in
-  let dropped = Sink.dropped () in
-  let emitted = ref 0 in
-  for tag = 1 to Event.tag_count do
-    emitted := !emitted + Sink.emitted_count ~tag
-  done;
-  let pairs = Sink.emitted_count ~tag:Event.tag_span_pair in
-  Sink.install Sink.Disabled;
-  Sink.set_clock (fun () -> 0);
-  Sink.set_cpu 0;
-  Atmo_obs.Span.reset ();
-  Alcotest.(check bool) "workload emitted events" true (!emitted > 0);
+  let records, dropped, emitted, pairs =
+    Session.with_flight ~slots:16384 (fun _ ->
+        ignore (Kv.run ~requests:40 ());
+        let emitted = ref 0 in
+        for tag = 1 to Event.tag_count do
+          emitted := !emitted + Sink.emitted_count ~tag
+        done;
+        (Sink.records (), Sink.dropped (), !emitted, Sink.emitted_count ~tag:Event.tag_span_pair))
+  in
+  Alcotest.(check bool) "workload emitted events" true (emitted > 0);
   Alcotest.(check int) "zero drops on a sized ring" 0 dropped;
   (* lossless accounting: every admitted event is a live record (span
      pairs decode into two) *)
-  Alcotest.(check int) "records = emitted + pairs" (!emitted + pairs)
+  Alcotest.(check int) "records = emitted + pairs" (emitted + pairs)
     (List.length records)
 
 let test_sink_records_merged_sorted () =
-  let f = Flight.create ~cpus:2 ~slots:8 ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight f);
-  let t = ref 0 in
-  Sink.set_clock (fun () -> !t);
-  t := 30;
-  Sink.emit ~cpu:1 (Event.Page_alloc { addr = 1; order = 0 });
-  t := 10;
-  Sink.emit ~cpu:0 (Event.Page_alloc { addr = 2; order = 0 });
-  t := 20;
-  Sink.emit ~cpu:1 (Event.Page_alloc { addr = 3; order = 0 });
-  let rs = Sink.records () in
-  Sink.install Sink.Disabled;
-  Sink.set_clock (fun () -> 0);
+  let rs =
+    Session.with_flight ~slots:8 (fun _ ->
+        let t = ref 0 in
+        Sink.set_clock (fun () -> !t);
+        t := 30;
+        Sink.emit ~cpu:1 (Event.Page_alloc { addr = 1; order = 0 });
+        t := 10;
+        Sink.emit ~cpu:0 (Event.Page_alloc { addr = 2; order = 0 });
+        t := 20;
+        Sink.emit ~cpu:1 (Event.Page_alloc { addr = 3; order = 0 });
+        Sink.records ())
+  in
   Alcotest.(check (list int)) "merged across rings, sorted by ts" [ 10; 20; 30 ]
     (List.map (fun r -> r.Event.ts) rs)
+
+(* ------------------------------------------------------------------ *)
+(* the recorder session                                                *)
+
+(* Change every piece of run state a session owns. *)
+let dirty_run () =
+  Sink.set_filter (1 lsl Event.tag_page_alloc);
+  Sink.set_sample_all ~shift:3;
+  Sink.set_clock (fun () -> 77);
+  Sink.set_cpu 1;
+  ignore (Span.begin_ Span.Request);
+  ignore (Monitor.arm ~window_cycles:100 ~now:0 ~specs:[] ())
+
+let check_defaults what =
+  let check name = Alcotest.(check bool) (what ^ ": " ^ name) true in
+  check "sink disabled" (match Sink.installed () with Sink.Disabled -> true | _ -> false);
+  check "all-tags filter" (Sink.get_filter () = Event.all_tags_mask);
+  for tag = 1 to Event.tag_count do
+    check ("shift 0 for " ^ Event.tag_name tag) (Sink.get_sample ~tag = 0)
+  done;
+  check "clock 0" (Sink.now () = 0);
+  check "cpu 0" (Sink.current_cpu () = 0);
+  check "no open spans" (Span.open_spans () = [] && Span.current () = 0);
+  check "no armed monitor" (Monitor.active () = None)
+
+let test_session_restores_defaults () =
+  Session.with_flight (fun _ -> dirty_run ());
+  check_defaults "after return";
+  (match Session.with_flight (fun _ -> dirty_run (); failwith "planted") with
+   | () -> Alcotest.fail "the raise was swallowed"
+   | exception Failure _ -> ());
+  check_defaults "after raise"
+
+let test_sessions_start_at_zero () =
+  let emitted () = List.init Event.tag_count (fun i -> Sink.emitted_count ~tag:(i + 1)) in
+  let published () = Metrics.Counter.value (Metrics.counter "obs/emitted/page_alloc") in
+  for _ = 1 to 2 do
+    Session.with_flight (fun _ ->
+        Alcotest.(check (list int)) "no emitted tallies" (List.map (fun _ -> 0) (emitted ()))
+          (emitted ());
+        Alcotest.(check int) "registry zeroed" 0 (published ());
+        Sink.emit_page_alloc ~addr:0x1000 ~order:0 ();
+        Sink.emit ~cpu:1 (Event.Ep_create { container = 1 }));
+    Alcotest.(check int) "tallies published and kept on exit" 1 (published ())
+  done
 
 (* ------------------------------------------------------------------ *)
 
@@ -552,6 +584,12 @@ let () =
             test_disabled_sink_records_nothing;
           Alcotest.test_case "records merged and sorted" `Quick
             test_sink_records_merged_sorted;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "restores every default" `Quick test_session_restores_defaults;
+          Alcotest.test_case "back-to-back sessions start at zero" `Quick
+            test_sessions_start_at_zero;
         ] );
       ( "admission",
         [

@@ -20,22 +20,11 @@ let expect_wf what = function
   | Ok () -> ()
   | Error msg -> Alcotest.failf "%s: %s" what msg
 
-let mk_pt ?(frames = 4096) () =
-  let mem = Phys_mem.create ~page_count:frames in
-  let alloc = Page_alloc.create mem ~reserved_frames:0 in
-  let pt = expect "create" (Page_table.create mem alloc) in
-  (mem, alloc, pt)
-
-let user_frame alloc =
-  match Page_alloc.alloc_4k alloc ~purpose:Page_alloc.User with
-  | Some f -> f
-  | None -> Alcotest.fail "no user frame"
-
 let va0 = 0x4000_0000
 
 let test_map_resolve_4k () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let _, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
   (match Page_table.resolve pt ~vaddr:(va0 + 5) with
    | Some tr ->
@@ -45,8 +34,8 @@ let test_map_resolve_4k () =
   expect_wf "all obligations" (Pt_refine.all pt)
 
 let test_map_unmap_roundtrip () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let _, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
   let e = expect "unmap" (Page_table.unmap pt ~vaddr:va0) in
   checki "frame returned" frame e.Page_table.frame;
@@ -55,15 +44,15 @@ let test_map_unmap_roundtrip () =
   expect_wf "all obligations" (Pt_refine.all pt)
 
 let test_double_map_rejected () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let _, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
   checkb "second map rejected" true
     (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw = Error Page_table.Already_mapped)
 
 let test_misaligned_rejected () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let _, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   checkb "va misaligned" true
     (Page_table.map_4k pt ~vaddr:(va0 + 1) ~frame ~perm:Pte.perm_rw = Error Page_table.Misaligned);
   checkb "2m misaligned" true
@@ -74,8 +63,8 @@ let test_misaligned_rejected () =
      = Error Page_table.Non_canonical)
 
 let test_size_conflicts () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let _, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   (* a 4K mapping under a 2M-aligned va blocks a 2M mapping there *)
   expect "map 4k" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
   (match Page_alloc.alloc_2m alloc ~purpose:Page_alloc.User with
@@ -87,14 +76,14 @@ let test_size_conflicts () =
      (* and a 4K map under an existing 2M leaf conflicts the other way *)
      let va2 = va0 + Phys_mem.page_size_2m in
      expect "map 2m" (Page_table.map_2m pt ~vaddr:va2 ~frame:big ~perm:Pte.perm_rw);
-     let f2 = user_frame alloc in
+     let f2 = Helpers.user_frame alloc in
      checkb "4k under 2m conflicts" true
        (Page_table.map_4k pt ~vaddr:va2 ~frame:f2 ~perm:Pte.perm_rw
         = Error Page_table.Conflict));
   expect_wf "all obligations" (Pt_refine.all pt)
 
 let test_huge_mappings_resolve () =
-  let _, alloc, pt = mk_pt ~frames:8192 () in
+  let _, alloc, pt = Helpers.mk_pt ~frames:8192 () in
   (match Page_alloc.alloc_2m alloc ~purpose:Page_alloc.User with
    | None -> Alcotest.fail "no 2m"
    | Some big ->
@@ -108,8 +97,8 @@ let test_huge_mappings_resolve () =
   expect_wf "all obligations" (Pt_refine.all pt)
 
 let test_update_perm () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let _, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
   expect "mprotect" (Page_table.update_perm pt ~vaddr:va0 ~perm:Pte.perm_ro);
   (match Page_table.resolve pt ~vaddr:va0 with
@@ -118,9 +107,9 @@ let test_update_perm () =
   expect_wf "all obligations" (Pt_refine.all pt)
 
 let test_destroy_returns_tables () =
-  let _, alloc, pt = mk_pt () in
+  let _, alloc, pt = Helpers.mk_pt () in
   let before = Page_alloc.allocated_pages alloc in
-  let frame = user_frame alloc in
+  let frame = Helpers.user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
   let still_mapped = Page_table.destroy pt in
   checkb "mapped frame reported" true (Iset.mem frame still_mapped);
@@ -130,7 +119,7 @@ let test_destroy_returns_tables () =
   checkb "tables freed" true (Iset.cardinal after < Iset.cardinal before)
 
 let test_missing_tables_exact () =
-  let _, alloc, pt = mk_pt () in
+  let _, alloc, pt = Helpers.mk_pt () in
   (* fresh table: a 4K map needs L3+L2+L1 = 3 new tables *)
   checki "3 tables for first 4k" 3
     (Page_table.missing_tables pt ~vaddrs:[ (va0, Page_state.S4k) ]);
@@ -138,7 +127,7 @@ let test_missing_tables_exact () =
   checki "adjacent shares tables" 3
     (Page_table.missing_tables pt
        ~vaddrs:[ (va0, Page_state.S4k); (va0 + 4096, Page_state.S4k) ]);
-  let frame = user_frame alloc in
+  let frame = Helpers.user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
   checki "nothing missing afterwards" 0
     (Page_table.missing_tables pt ~vaddrs:[ (va0 + 4096, Page_state.S4k) ]);
@@ -147,8 +136,8 @@ let test_missing_tables_exact () =
     (Page_table.missing_tables pt ~vaddrs:[ (1 lsl 39, Page_state.S2m) ])
 
 let test_prune_empty_tables () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let _, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
   ignore (expect "unmap" (Page_table.unmap pt ~vaddr:va0));
   let closure_before = Iset.cardinal (Page_table.page_closure pt) in
@@ -161,7 +150,7 @@ let test_step_hook_consistency () =
   (* §4.2: every concrete table write is a separate step; non-leaf
      writes never change the MMU-visible mapping, a leaf write changes
      exactly one entry. *)
-  let _, alloc, pt = mk_pt () in
+  let _, alloc, pt = Helpers.mk_pt () in
   let snapshot () =
     List.sort compare (Page_table.walk_concrete pt)
   in
@@ -177,24 +166,24 @@ let test_step_hook_consistency () =
          end
          else if now <> !prev then incr violations;
          prev := now));
-  let frame = user_frame alloc in
+  let frame = Helpers.user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
   ignore (expect "unmap" (Page_table.unmap pt ~vaddr:va0));
   Page_table.set_step_hook pt None;
   checki "no intermediate-state violations" 0 !violations
 
 let test_mmu_probe_agrees () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let _, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
   expect_wf "probe"
     (Pt_refine.mmu_probe pt
        ~vaddrs:[ va0; va0 + 100; va0 + 4096; 0; 0x7fff_ffff_f000 ])
 
 let test_nros_agrees_with_flat () =
-  let _, alloc, pt = mk_pt ~frames:8192 () in
+  let _, alloc, pt = Helpers.mk_pt ~frames:8192 () in
   for i = 0 to 19 do
-    let frame = user_frame alloc in
+    let frame = Helpers.user_frame alloc in
     expect "map"
       (Page_table.map_4k pt ~vaddr:(va0 + (i * 4096)) ~frame ~perm:Pte.perm_rw)
   done;
@@ -212,8 +201,8 @@ let test_nros_agrees_with_flat () =
      = List.sort compare (Page_table.walk_concrete pt))
 
 let test_checkers_catch_corruption () =
-  let mem, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let mem, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:va0 ~frame ~perm:Pte.perm_rw);
   (* corrupt the leaf behind the ghost map's back *)
   (match Page_table.resolve pt ~vaddr:va0 with
@@ -235,7 +224,7 @@ let prop_random_map_unmap_refines =
   QCheck.Test.make ~name:"refinement holds under random map/unmap sequences" ~count:40
     QCheck.(list (pair bool (int_bound 63)))
     (fun ops ->
-      let _, alloc, pt = mk_pt () in
+      let _, alloc, pt = Helpers.mk_pt () in
       List.iter
         (fun (do_map, slot) ->
           let vaddr = va0 + (slot * 4096) in
@@ -260,7 +249,7 @@ let prop_mixed_sizes_refine =
   QCheck.Test.make ~name:"refinement holds under mixed 4K/2M traffic" ~count:25
     QCheck.(list (triple bool bool (int_bound 15)))
     (fun ops ->
-      let _, alloc, pt = mk_pt ~frames:16384 () in
+      let _, alloc, pt = Helpers.mk_pt ~frames:16384 () in
       List.iter
         (fun (do_map, big, slot) ->
           let vaddr =

@@ -18,22 +18,13 @@ module Runtime = Atmo_san.Runtime
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let with_san ?(poison = true) ?(lockcheck = false) f =
-  Runtime.arm ~poison ~lockcheck ();
-  Fun.protect ~finally:(fun () -> Runtime.disarm ()) f
-
 let caught rule = List.exists (fun r -> r.Report.rule = rule) (Report.reports ())
-
-let boot () =
-  match Kernel.boot Kernel.default_boot with
-  | Ok (k, init) -> (k, init)
-  | Error e -> Alcotest.failf "boot: %a" Atmo_util.Errno.pp e
 
 (* ------------------------------------------------------------------ *)
 (* shadow map                                                          *)
 
 let test_out_of_reservation () =
-  with_san (fun () ->
+  Helpers.with_san (fun () ->
       let mem = Phys_mem.create ~page_count:64 in
       let _a = Page_alloc.create mem ~reserved_frames:8 in
       (* reserved frames are outside the allocator: accesses pass *)
@@ -44,7 +35,7 @@ let test_out_of_reservation () =
       checkb "out of reservation" true (caught Report.Out_of_reservation))
 
 let test_untracked_memory_ignored () =
-  with_san (fun () ->
+  Helpers.with_san (fun () ->
       (* a memory with no allocator (driver scratch, PT test rigs) is
          not judged *)
       let mem = Phys_mem.create ~page_count:16 in
@@ -53,7 +44,7 @@ let test_untracked_memory_ignored () =
       checki "no reports" 0 (Report.count ()))
 
 let test_dec_ref_double_free () =
-  with_san (fun () ->
+  Helpers.with_san (fun () ->
       let mem = Phys_mem.create ~page_count:64 in
       let a = Page_alloc.create mem ~reserved_frames:0 in
       let p = Option.get (Page_alloc.alloc_4k a ~purpose:Page_alloc.User) in
@@ -65,7 +56,7 @@ let test_dec_ref_double_free () =
       checkb "double free via dec_ref" true (caught Report.Double_free))
 
 let test_poison_trample () =
-  with_san ~poison:true (fun () ->
+  Helpers.with_san ~poison:true (fun () ->
       let mem = Phys_mem.create ~page_count:4 in
       let a = Page_alloc.create mem ~reserved_frames:0 in
       let ps =
@@ -82,7 +73,7 @@ let test_poison_trample () =
       checkb "poison trample" true (caught Report.Poison_trample))
 
 let test_superpage_shadow () =
-  with_san (fun () ->
+  Helpers.with_san (fun () ->
       (* a 2 MiB claim covers 512 frames: body frames are live too, and
          release frees the whole block *)
       let mem = Phys_mem.create ~page_count:1024 in
@@ -131,7 +122,7 @@ let test_disarm_restores_zero_cost () =
 (* lock discipline                                                     *)
 
 let test_lock_protocol () =
-  with_san ~lockcheck:true (fun () ->
+  Helpers.with_san ~lockcheck:true (fun () ->
       Lockcheck.release ~cpu:0;
       checkb "release without hold" true (caught Report.Lock_misuse);
       Report.clear ();
@@ -144,8 +135,8 @@ let test_lock_protocol () =
         && List.mem_assoc "b" (Lockcheck.acquisitions ())))
 
 let test_smp_runs_clean_under_lockcheck () =
-  with_san ~poison:false ~lockcheck:true (fun () ->
-      let k, init = boot () in
+  Helpers.with_san ~poison:false ~lockcheck:true (fun () ->
+      let k, init = Helpers.boot () in
       Runtime.attach k;
       let { Atmo_workloads.Worlds.programs; _ } =
         Lockcheck.locked ~site:"test.setup" ~cpu:0 (fun () ->
@@ -162,8 +153,8 @@ let test_smp_runs_clean_under_lockcheck () =
 (* whole-state checks on live kernels                                  *)
 
 let test_booted_kernel_checks_clean () =
-  with_san ~poison:false (fun () ->
-      let k, init = boot () in
+  Helpers.with_san ~poison:false (fun () ->
+      let k, init = Helpers.boot () in
       Runtime.attach k;
       ignore
         (Kernel.step k ~thread:init
@@ -176,16 +167,16 @@ let test_booted_kernel_checks_clean () =
       checkb "accesses were actually checked" true (Memsan.checked () > 0))
 
 let test_audit_catches_orphan_page () =
-  with_san ~poison:false (fun () ->
-      let k, _ = boot () in
+  Helpers.with_san ~poison:false (fun () ->
+      let k, _ = Helpers.boot () in
       Runtime.attach k;
       checki "clean before" 0 (Atmo_san.Audit.leaks k);
       ignore (Page_alloc.alloc_4k k.Kernel.alloc ~purpose:Page_alloc.Kernel);
       checkb "orphan detected" true (Atmo_san.Audit.leaks k > 0 && caught Report.Leak))
 
 let test_audit_after_teardown () =
-  with_san ~poison:false (fun () ->
-      let k, init = boot () in
+  Helpers.with_san ~poison:false (fun () ->
+      let k, init = Helpers.boot () in
       Runtime.attach k;
       (match Kernel.step k ~thread:init
                (Syscall.New_container { quota = 32; cpus = Atmo_util.Iset.empty })
@@ -198,8 +189,8 @@ let test_audit_after_teardown () =
       checki "no leaks after container teardown" 0 (Runtime.full_check k))
 
 let test_pt_alias_detected () =
-  with_san ~poison:false (fun () ->
-      let k, init = boot () in
+  Helpers.with_san ~poison:false (fun () ->
+      let k, init = Helpers.boot () in
       Runtime.attach k;
       (match Kernel.step k ~thread:init
                (Syscall.Mmap { va = 0x4000_0000; count = 1; size = Page_state.S4k; perm = Pte.perm_rw })

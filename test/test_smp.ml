@@ -15,11 +15,6 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let cost = Atmo_sim.Cost.default
 
-let boot () =
-  match Kernel.boot Kernel.default_boot with
-  | Ok (k, init) -> (k, init)
-  | Error e -> Alcotest.failf "boot: %a" Atmo_util.Errno.pp e
-
 let new_thread k init =
   match Kernel.step k ~thread:init Syscall.New_thread with
   | Syscall.Rptr t -> t
@@ -29,7 +24,7 @@ let new_thread k init =
 (* Sched_queue / Proc_mgr concurrency edges                            *)
 
 let test_steal_from_empty () =
-  let k, _init = boot () in
+  let k, _init = Helpers.boot () in
   let pm = k.Kernel.pm in
   Proc_mgr.set_sched_cpus pm 2;
   (* park the boot thread so nothing is schedulable anywhere *)
@@ -46,7 +41,7 @@ let test_steal_from_empty () =
   Proc_mgr.set_cpu pm 0
 
 let test_self_steal_guard () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let pm = k.Kernel.pm in
   (* single queue: an idle dequeue must not "steal" from itself *)
   (match Proc_mgr.current pm with
@@ -62,7 +57,7 @@ let test_self_steal_guard () =
     (List.length (Proc_mgr.steal_ledger pm))
 
 let test_steal_migrates_home () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let pm = k.Kernel.pm in
   Proc_mgr.set_sched_cpus pm 2;
   let t2 = new_thread k init in
@@ -79,7 +74,7 @@ let test_steal_migrates_home () =
     (List.exists (fun (th, v, t) -> th = 1 && v = 0 && t = t2) (Proc_mgr.steal_ledger pm))
 
 let test_terminate_racing_steal () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let pm = k.Kernel.pm in
   Proc_mgr.set_sched_cpus pm 2;
   let t2 = new_thread k init in
@@ -95,7 +90,7 @@ let test_terminate_racing_steal () =
   checki "sched lint clean after the race" 0 (Atmo_san.Sched_lint.lint k)
 
 let test_lost_steal_detected () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let pm = k.Kernel.pm in
   Proc_mgr.set_sched_cpus pm 2;
   let t2 = new_thread k init in
@@ -114,7 +109,7 @@ let test_lost_steal_detected () =
   Report.clear ()
 
 let test_double_enqueue_detected () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let pm = k.Kernel.pm in
   Proc_mgr.set_sched_cpus pm 2;
   let t2 = new_thread k init in
@@ -132,7 +127,7 @@ let test_double_enqueue_detected () =
   Report.clear ()
 
 let test_topology_resize_requeues () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let pm = k.Kernel.pm in
   Proc_mgr.set_sched_cpus pm 4;
   let ts = List.init 6 (fun _ -> new_thread k init) in
@@ -180,7 +175,7 @@ let test_lock_hierarchy () =
 (* The on/off oracle: regimes differ in cycles only                    *)
 
 let ipc_world () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   let pm = k.Kernel.pm in
   let receiver = new_thread k init in
   let sender = new_thread k init in

@@ -8,34 +8,18 @@ module Flight = Atmo_obs.Flight
 module Metrics = Atmo_obs.Metrics
 module Sink = Atmo_obs.Sink
 module Span = Atmo_obs.Span
+module Session = Atmo_obs.Session
 module Profile = Atmo_obs.Profile
 module Export = Atmo_obs.Export
 module Kv_demo = Atmo_workloads.Kv_demo
-
-(* Run [f] with a fresh flight recorder installed; always restore the
-   Disabled sink, the constant clock, and the span state. *)
-let with_flight ?(slots = 4096) f =
-  Metrics.reset ();
-  Span.reset ();
-  let recorder = Flight.create ~cpus:2 ~slots ~slot_size:Event.slot_bytes in
-  Sink.install (Sink.Flight recorder);
-  Fun.protect
-    ~finally:(fun () ->
-      Sink.install Sink.Disabled;
-      Sink.set_clock (fun () -> 0);
-      Sink.set_cpu 0;
-      Span.reset ())
-    (fun () -> f recorder)
 
 (* ------------------------------------------------------------------ *)
 (* zero overhead: the kv workload's cycle model is sink-independent    *)
 
 let test_kv_disabled_identity () =
-  Sink.install Sink.Disabled;
-  Span.reset ();
   let base = Kv_demo.run ~requests:6 () in
   let traced, events =
-    with_flight (fun _ ->
+    Session.with_flight (fun _ ->
         let r = Kv_demo.run ~requests:6 () in
         (r, Sink.records ()))
   in
@@ -59,7 +43,7 @@ let test_kv_disabled_identity () =
 
 let test_kv_request_path_reconstructs () =
   let events =
-    with_flight (fun _ ->
+    Session.with_flight (fun _ ->
         ignore (Kv_demo.run ~requests:4 ());
         Sink.records ())
   in
@@ -114,7 +98,7 @@ let test_kv_request_path_reconstructs () =
 (* accounting: per-container cycles partition the whole-run total      *)
 
 let test_container_cycles_sum_to_total () =
-  let result = with_flight (fun _ -> Kv_demo.run ~requests:5 ()) in
+  let result = Session.with_flight (fun _ -> Kv_demo.run ~requests:5 ()) in
   let total = Metrics.Counter.value (Metrics.counter "cycles/total") in
   Alcotest.(check bool) "whole-run total is positive" true (total > 0);
   let sum_family prefix =
@@ -189,11 +173,6 @@ let test_metrics_dump_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* exporters                                                           *)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let count_occurrences s sub =
   let n = String.length sub in
   let rec go i acc =
@@ -205,7 +184,7 @@ let count_occurrences s sub =
 
 let test_chrome_export () =
   let events =
-    with_flight (fun _ ->
+    Session.with_flight (fun _ ->
         ignore (Kv_demo.run ~requests:2 ());
         Sink.records ())
   in
@@ -218,33 +197,33 @@ let test_chrome_export () =
   Alcotest.(check int) "flow starts pair with flow finishes"
     (count_occurrences json "\"ph\":\"s\"")
     (count_occurrences json "\"ph\":\"f\"");
-  Alcotest.(check bool) "has flow events" true (contains json "\"ph\":\"s\"");
-  Alcotest.(check bool) "names the request span" true (contains json "\"request\"")
+  Alcotest.(check bool) "has flow events" true (Helpers.contains json "\"ph\":\"s\"");
+  Alcotest.(check bool) "names the request span" true (Helpers.contains json "\"request\"")
 
 let test_prometheus_export () =
   let prom =
-    with_flight (fun _ ->
+    Session.with_flight (fun _ ->
         ignore (Kv_demo.run ~requests:2 ());
         Export.prometheus ())
   in
   Alcotest.(check bool) "counter family exported" true
-    (contains prom "# TYPE atmo_cycles_total counter");
+    (Helpers.contains prom "# TYPE atmo_cycles_total counter");
   Alcotest.(check bool) "counter help line precedes it" true
-    (contains prom "# HELP atmo_cycles_total Atmosphere counter cycles/total.");
+    (Helpers.contains prom "# HELP atmo_cycles_total Atmosphere counter cycles/total.");
   Alcotest.(check bool) "histogram family exported" true
-    (contains prom "# TYPE atmo_lat_nvme_io histogram");
+    (Helpers.contains prom "# TYPE atmo_lat_nvme_io histogram");
   Alcotest.(check bool) "histogram help line precedes it" true
-    (contains prom "# HELP atmo_lat_nvme_io Atmosphere log2-bucketed histogram lat/nvme_io (cycles).");
+    (Helpers.contains prom "# HELP atmo_lat_nvme_io Atmosphere log2-bucketed histogram lat/nvme_io (cycles).");
   Alcotest.(check bool) "cumulative buckets present" true
-    (contains prom "atmo_lat_nvme_io_bucket{le=\"+Inf\"}");
+    (Helpers.contains prom "atmo_lat_nvme_io_bucket{le=\"+Inf\"}");
   Alcotest.(check bool) "sum and count present" true
-    (contains prom "atmo_lat_nvme_io_count")
+    (Helpers.contains prom "atmo_lat_nvme_io_count")
 
 (* ------------------------------------------------------------------ *)
 (* ring wraparound through the span decoder                            *)
 
 let test_span_wraparound_decode () =
-  with_flight ~slots:8 (fun recorder ->
+  Session.with_flight ~slots:8 (fun recorder ->
       Sink.set_cpu 0;
       (* 20 one-shot spans = 40 events through an 8-slot ring *)
       for i = 1 to 20 do
@@ -271,7 +250,7 @@ let test_span_wraparound_decode () =
   (* torn wrap: an enclosing span's begin is overwritten by its own
      children before the end arrives; the profiler counts the orphan
      end as truncated instead of crashing or inventing a span *)
-  with_flight ~slots:8 (fun _ ->
+  Session.with_flight ~slots:8 (fun _ ->
       Sink.set_cpu 0;
       let outer = Span.begin_ ~ts:0 Span.Request in
       for i = 1 to 10 do
@@ -290,8 +269,6 @@ let test_span_wraparound_decode () =
 (* capability accounting: every slot naming an endpoint is counted     *)
 
 let test_kv_refcounts_match_slots () =
-  Sink.install Sink.Disabled;
-  Span.reset ();
   let a = (Kv_demo.run ~requests:2 ()).Kv_demo.abstract in
   let module A = Atmo_spec.Abstract_state in
   let holders ep =

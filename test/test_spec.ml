@@ -9,11 +9,6 @@ module Page_state = Atmo_pmem.Page_state
 module Pte = Atmo_hw.Pte_bits
 module Message = Atmo_pm.Message
 
-let boot () =
-  match Kernel.boot Kernel.default_boot with
-  | Ok (k, init) -> (k, init)
-  | Error e -> Alcotest.failf "boot failed: %a" Errno.pp e
-
 let fail_outcome (o : H.step_outcome) =
   Alcotest.failf "step %a from 0x%x returned %a; spec: %s; wf: %s" Syscall.pp o.H.call
     o.H.thread Syscall.pp_ret o.H.ret
@@ -28,7 +23,7 @@ let run_ok k trace =
 let va0 = 0x4000_0000
 
 let test_scripted_memory_trace () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   run_ok k
     [
       (init, Syscall.Mmap { va = va0; count = 4; size = Page_state.S4k; perm = Pte.perm_rw });
@@ -43,7 +38,7 @@ let test_scripted_memory_trace () =
     ]
 
 let test_scripted_lifecycle_trace () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   run_ok k
     [
       (init, Syscall.New_container { quota = 64; cpus = Iset.empty });
@@ -56,7 +51,7 @@ let test_scripted_lifecycle_trace () =
     ]
 
 let test_scripted_ipc_trace () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   (* init creates an endpoint and a second thread; hand the descriptor
      over with an explicit endpoint grant through a rendezvous *)
   run_ok k
@@ -78,7 +73,7 @@ let test_scripted_ipc_trace () =
   | o -> fail_outcome o
 
 let test_scripted_termination_trace () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   run_ok k [ (init, Syscall.New_container { quota = 128; cpus = Iset.empty }) ];
   (* populate the child container *)
   let child =
@@ -95,7 +90,7 @@ let test_scripted_termination_trace () =
     ]
 
 let test_scripted_device_trace () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   run_ok k
     [
       (init, Syscall.Assign_device { device = 1 });
@@ -109,7 +104,7 @@ let test_scripted_device_trace () =
   run_ok k [ (init, Syscall.Terminate_process { proc = p2 }) ]
 
 let test_scripted_io_trace () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   run_ok k
     [
       (init, Syscall.Mmap { va = va0; count = 2; size = Page_state.S4k; perm = Pte.perm_rw });
@@ -130,13 +125,13 @@ let test_scripted_io_trace () =
     ]
 
 let test_random_fuzz seed () =
-  let k, _ = boot () in
+  let k, _ = Helpers.boot () in
   match H.random_trace_check ~seed ~steps:300 k with
   | Ok n -> Alcotest.(check bool) "ran steps" true (n > 0)
   | Error o -> fail_outcome o
 
 let test_page_grant_spec () =
-  let k, init = boot () in
+  let k, init = Helpers.boot () in
   run_ok k
     [
       (init, Syscall.Mmap { va = va0; count = 1; size = Page_state.S4k; perm = Pte.perm_rw });

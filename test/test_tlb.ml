@@ -19,17 +19,6 @@ let expect what = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %a" what Page_table.pp_error e
 
-let mk_pt ?(frames = 4096) () =
-  let mem = Phys_mem.create ~page_count:frames in
-  let alloc = Page_alloc.create mem ~reserved_frames:0 in
-  let pt = expect "create" (Page_table.create mem alloc) in
-  (mem, alloc, pt)
-
-let user_frame alloc =
-  match Page_alloc.alloc_4k alloc ~purpose:Page_alloc.User with
-  | Some f -> f
-  | None -> Alcotest.fail "no user frame"
-
 let eq_translation a b =
   match (a, b) with
   | None, None -> true
@@ -50,12 +39,12 @@ let probe_identical what pt ~vaddr =
     Alcotest.failf "%s: hot resolve of 0x%x diverges from the cold walk" what vaddr
 
 let test_oracle_randomized () =
-  let _, alloc, pt = mk_pt () in
+  let _, alloc, pt = Helpers.mk_pt () in
   let rng = Random.State.make [| 0xA51D |] in
   let pages = 48 in
   let base = 0x4000_0000 in
   let va i = base + (i * Phys_mem.page_size) in
-  let frames = Array.init pages (fun _ -> user_frame alloc) in
+  let frames = Array.init pages (fun _ -> Helpers.user_frame alloc) in
   let mapped = Array.make pages false in
   for _step = 1 to 600 do
     let i = Random.State.int rng pages in
@@ -89,8 +78,8 @@ let test_oracle_randomized () =
   done
 
 let test_hit_and_shootdown () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let _, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   let vaddr = 0x4000_0000 in
   expect "map" (Page_table.map_4k pt ~vaddr ~frame ~perm:Pte.perm_rw);
   let s0 = Tlb.cpu_stats () in
@@ -106,8 +95,8 @@ let test_hit_and_shootdown () =
   checkb "faults cold after unmap" true (Page_table.resolve_cold pt ~vaddr = None)
 
 let test_protect_shootdown () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let _, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   let vaddr = 0x4000_0000 in
   expect "map" (Page_table.map_4k pt ~vaddr ~frame ~perm:Pte.perm_rw);
   checkb "warm writable" true
@@ -121,7 +110,7 @@ let test_protect_shootdown () =
      | None -> false)
 
 let test_superpage () =
-  let _, alloc, pt = mk_pt () in
+  let _, alloc, pt = Helpers.mk_pt () in
   let frame =
     match Page_alloc.alloc_2m alloc ~purpose:Page_alloc.User with
     | Some f -> f
@@ -156,7 +145,7 @@ let test_asid_isolation () =
   let pt_a = expect "create a" (Page_table.create mem alloc) in
   let pt_b = expect "create b" (Page_table.create mem alloc) in
   let vaddr = 0x4000_0000 in
-  let frame_a = user_frame alloc and frame_b = user_frame alloc in
+  let frame_a = Helpers.user_frame alloc and frame_b = Helpers.user_frame alloc in
   expect "map a" (Page_table.map_4k pt_a ~vaddr ~frame:frame_a ~perm:Pte.perm_rw);
   expect "map b" (Page_table.map_4k pt_b ~vaddr ~frame:frame_b ~perm:Pte.perm_ro);
   for _round = 1 to 3 do
@@ -187,7 +176,7 @@ let test_iotlb_protocol () =
   let iommu = Iommu.create mem in
   let device = 3 in
   let iova = 0x1_0000 in
-  let frame = user_frame alloc in
+  let frame = Helpers.user_frame alloc in
   expect "map" (Page_table.map_4k pt ~vaddr:iova ~frame ~perm:Pte.perm_rw);
   Iommu.attach iommu ~device ~root:(Page_table.cr3 pt);
   (match Iommu.translate iommu ~device ~iova with
@@ -207,8 +196,8 @@ let test_iotlb_protocol () =
   checkb "fault after detach" true (Iommu.translate iommu ~device ~iova = None)
 
 let test_disable_restores_cold () =
-  let _, alloc, pt = mk_pt () in
-  let frame = user_frame alloc in
+  let _, alloc, pt = Helpers.mk_pt () in
+  let frame = Helpers.user_frame alloc in
   let vaddr = 0x4000_0000 in
   expect "map" (Page_table.map_4k pt ~vaddr ~frame ~perm:Pte.perm_rw);
   checkb "warm" true (Page_table.resolve pt ~vaddr <> None);
