@@ -538,23 +538,15 @@ let fig7 () =
    emit counters must account for every record exactly.  Tracing costs
    host time only: the kv virtual clock and per-request latencies must
    be bit-identical on vs off. *)
-(* Events admitted this session, summed over every tag. *)
-let emitted_total () =
-  let n = ref 0 in
-  for tag = 1 to Atmo_obs.Event.tag_count do
-    n := !n + Atmo_obs.Sink.emitted_count ~tag
-  done;
-  !n
-
 (* The kv pair [obs] and [span] time: [reps] runs with the sink
    disabled, then [reps] in a flight session of [slots] slots per CPU;
-   [inspect] reads the recorder before the session closes. *)
+   [inspect] reads the sink before the session closes. *)
 let kv_traced_pair ~requests ~reps ~slots inspect =
   let module Kv = Atmo_workloads.Kv_demo in
   let off_s, off = time_reps ~reps (fun () -> Kv.run ~requests ()) in
-  Atmo_obs.Session.with_flight ~slots (fun recorder ->
+  Atmo_obs.Session.with_flight ~slots (fun _ ->
       let on_s, on = time_reps ~reps (fun () -> Kv.run ~requests ()) in
-      (off_s, off, on_s, on, inspect recorder))
+      (off_s, off, on_s, on, inspect ()))
 
 let obs () =
   section "Observability: tracing overhead on vs off (host time; model cycles)";
@@ -568,7 +560,7 @@ let obs () =
   let per_rep =
     Atmo_obs.Session.with_flight ~slots:65536 (fun _ ->
         ignore (Kv.run ~requests ());
-        emitted_total ())
+        Atmo_obs.Sink.emitted_total ())
   in
   let slots = ref 1024 in
   while !slots < per_rep * reps do
@@ -577,12 +569,12 @@ let obs () =
   line "calibration: %d events per run -> ring of %d slots/cpu for %d runs" per_rep
     !slots reps;
   let off_s, off, on_s, on, (records, dropped, emitted_total, pairs) =
-    kv_traced_pair ~requests ~reps ~slots:!slots (fun _ ->
+    kv_traced_pair ~requests ~reps ~slots:!slots (fun () ->
         (* each packed span pair decodes into a begin and an end record,
            so the lossless-accounting identity is records = emitted + pairs *)
         ( Atmo_obs.Sink.records (),
           Atmo_obs.Sink.dropped (),
-          emitted_total (),
+          Atmo_obs.Sink.emitted_total (),
           Atmo_obs.Sink.emitted_count ~tag:Atmo_obs.Event.tag_span_pair ))
   in
   let live = List.length records in
@@ -1002,8 +994,8 @@ let span () =
   let requests = 200 in
   let reps = 10 in
   let off_s, off, on_s, on, (records, dropped) =
-    kv_traced_pair ~requests ~reps ~slots:8192 (fun recorder ->
-        (Atmo_obs.Sink.records (), Atmo_obs.Flight.total_dropped recorder))
+    kv_traced_pair ~requests ~reps ~slots:8192 (fun () ->
+        (Atmo_obs.Sink.records (), Atmo_obs.Sink.dropped ()))
   in
   let count p = List.length (List.filter p records) in
   let spans =

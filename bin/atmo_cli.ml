@@ -535,13 +535,12 @@ let print_trace ~filtered ~sample ~max_events export out =
   Format.printf "@.-- flight recorder: %d live events (%d dropped, oldest-first) --@."
     (List.length records) (Obs_sink.dropped ());
   if filtered || sample > 0 then begin
-    let emitted = ref 0 and sampled = ref 0 in
+    let sampled = ref 0 in
     for tag = 1 to Obs_event.tag_count do
-      emitted := !emitted + Obs_sink.emitted_count ~tag;
       sampled := !sampled + Obs_sink.sampled_out_count ~tag
     done;
-    Format.printf "-- admission: %d emitted, %d sampled out (shift %d) --@." !emitted
-      !sampled sample
+    Format.printf "-- admission: %d emitted, %d sampled out (shift %d) --@."
+      (Obs_sink.emitted_total ()) !sampled sample
   end;
   List.iteri (fun i r -> if i < max_events then Format.printf "%a@." Obs_event.pp_record r) records;
   if List.length records > max_events then

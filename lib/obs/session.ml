@@ -14,9 +14,9 @@ let restore () =
   Sink.set_cpu 0;
   Span.reset ()
 
-let with_flight ?(cpus = 2) ?(slots = 4096) f =
+let with_flight ?(slots = 4096) f =
   Metrics.reset ();
   Span.reset ();
-  let recorder = Flight.create ~cpus ~slots ~slot_size:Event.slot_bytes in
+  let recorder = Flight.create ~cpus:2 ~slots ~slot_size:Event.slot_bytes in
   Sink.install (Sink.Flight recorder);
   Fun.protect ~finally:restore (fun () -> f recorder)

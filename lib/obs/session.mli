@@ -7,11 +7,11 @@
     only place that state is set up and torn down, so every caller gets
     the same restore on every exit path. *)
 
-val with_flight : ?cpus:int -> ?slots:int -> (Flight.t -> 'a) -> 'a
-(** [with_flight ?cpus ?slots f] zeroes the metrics registry, resets
-    the span layer, installs a fresh flight recorder of [cpus] rings
-    (default 2) of [slots] {!Event.slot_bytes}-byte slots each (default
-    4096; a positive power of two), and returns [f recorder].
+val with_flight : ?slots:int -> (Flight.t -> 'a) -> 'a
+(** [with_flight ?slots f] zeroes the metrics registry, resets the span
+    layer, installs a fresh flight recorder of two per-CPU rings of
+    [slots] {!Event.slot_bytes}-byte slots each (default 4096; a
+    positive power of two), and returns [f recorder].
 
     Whether [f] returns or raises, the run state is then put back to
     its defaults: the {!Sink.Disabled} sink, the all-tags filter,

@@ -102,6 +102,7 @@ let installed () = !current
 let tracing () = !enabled
 
 let set_clock f = now_fn := f
+let clock () = !now_fn
 let now () = !now_fn ()
 let set_cpu c = cpu_hint := c
 let current_cpu () = !cpu_hint
@@ -356,6 +357,8 @@ let dropped () =
 
 let emitted_count ~tag =
   if tag < 1 || tag > Event.tag_count then 0 else emitted.(tag)
+
+let emitted_total () = Array.fold_left ( + ) 0 emitted
 
 let sampled_out_count ~tag =
   if tag < 1 || tag > Event.tag_count then 0 else sampled_out.(tag)

@@ -73,6 +73,10 @@ val set_clock : (unit -> int) -> unit
     whoever drives the timeline — the SMP simulator or the trace CLI —
     so instrumented kernel code stays clock-free. *)
 
+val clock : unit -> unit -> int
+(** The installed timestamp source, so a run that swaps it can put it
+    back. *)
+
 val now : unit -> int
 
 val set_cpu : int -> unit
@@ -170,6 +174,9 @@ val publish_counters : unit -> unit
 val emitted_count : tag:int -> int
 (** Events of [tag] admitted this session (exact even when slots
     dropped); 0 for an out-of-range tag. *)
+
+val emitted_total : unit -> int
+(** {!emitted_count} summed over every tag. *)
 
 val sampled_out_count : tag:int -> int
 (** Events of [tag] rejected by sampling this session. *)

@@ -194,7 +194,7 @@ let unguarded = { guard = (fun f -> f ()) }
 
 type script = { world : ping_pong; smp : Smp.stats; kernel_cycles : int; drv_cycles : int }
 
-let scripted { guard } k ~init ~iterations =
+let run_script { guard } k ~init ~iterations =
   let cost = Atmo_sim.Cost.default in
   let world = guard (fun () -> ping_pong k ~init) in
   let t2 = world.receiver in
@@ -266,3 +266,11 @@ let scripted { guard } k ~init ~iterations =
   done;
   ignore (Nvme.wait_all nvme);
   { world; smp; kernel_cycles = !vnow; drv_cycles = Clock.now dclock }
+
+(* the SMP phase and the script both swap the sink's clock while a
+   recorder is installed; the caller gets its own clock back *)
+let scripted guard k ~init ~iterations =
+  let clock = Atmo_obs.Sink.clock () in
+  Fun.protect
+    ~finally:(fun () -> Atmo_obs.Sink.set_clock clock)
+    (fun () -> run_script guard k ~init ~iterations)

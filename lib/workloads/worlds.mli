@@ -58,7 +58,8 @@ val ping_pong : Atmo_core.Kernel.t -> init:int -> ping_pong
     terminated — and an NVMe write/read phase.  Past the SMP phase a
     virtual clock advances by each step's model cost; while a recorder
     is installed it stamps events and each step lands in
-    [lat/syscall/<name>].  Cycle totals do not depend on the sink. *)
+    [lat/syscall/<name>].  Cycle totals do not depend on the sink, and
+    the sink's clock is the caller's again on return or raise. *)
 
 type guard = { guard : 'a. (unit -> 'a) -> 'a }
 (** Wrapped around the world build and every harness step; the

@@ -134,7 +134,7 @@ let test_hostile_sweep_survives () =
 (* Hostile faults surface as Dev_fault flight-recorder events. *)
 let test_hostile_faults_traced () =
   with_clean_models (fun () ->
-      Atmo_obs.Session.with_flight ~cpus:1 ~slots:256 (fun _ ->
+      Atmo_obs.Session.with_flight ~slots:256 (fun _ ->
           let absorbed = Worlds.hostile_blk_sweep ~seed:5 ~steps:64 ~kind:`Nvme in
           let faults =
             List.filter

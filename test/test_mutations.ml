@@ -410,7 +410,7 @@ let test_san_span_leak () =
      drop the span's end — the span-balance lint must flag the span
      still open at quiescence. *)
   let k, init = parked_receiver () in
-  Atmo_obs.Session.with_flight ~cpus:1 ~slots:64 (fun _ ->
+  Atmo_obs.Session.with_flight ~slots:64 (fun _ ->
       Helpers.with_san (fun () ->
           San_runtime.attach k;
           checkb "clean lint before plant" true (Atmo_san.Span_lint.lint k = 0);

@@ -368,7 +368,7 @@ let test_writers_bit_identical_to_oracle () =
   List.iter
     (fun ev ->
       let f =
-        Session.with_flight ~cpus:1 ~slots:4 (fun f ->
+        Session.with_flight ~slots:4 (fun f ->
             Sink.emit ~ts:987654 ~cpu:0 ev;
             emit_fast ~ts:987654 ~cpu:0 ev;
             f)
@@ -385,7 +385,7 @@ let prop_fast_writer_matches_encode =
     QCheck.(pair arb_event (int_bound 0x3fff_ffff))
     (fun (ev, ts) ->
       let f =
-        Session.with_flight ~cpus:1 ~slots:4 (fun f ->
+        Session.with_flight ~slots:4 (fun f ->
             emit_fast ~ts ~cpu:0 ev;
             f)
       in
@@ -396,7 +396,7 @@ let prop_fast_writer_matches_encode =
 
 let test_filter_mask_gates_kinds () =
   let rs, emitted_on, emitted_off =
-    Session.with_flight ~cpus:1 ~slots:64 (fun _ ->
+    Session.with_flight ~slots:64 (fun _ ->
         Sink.set_filter (1 lsl Event.tag_page_alloc);
         Alcotest.(check bool) "enabled tag live" true (Sink.tracing_tag Event.tag_page_alloc);
         Alcotest.(check bool) "masked tag off" false (Sink.tracing_tag Event.tag_tlb_hit);
@@ -415,7 +415,7 @@ let test_filter_mask_gates_kinds () =
 
 (* Each session starts with fresh tallies and sampling phase. *)
 let sampling_session () =
-  Session.with_flight ~cpus:1 ~slots:64 (fun _ ->
+  Session.with_flight ~slots:64 (fun _ ->
       Sink.set_sample ~tag:Event.tag_page_alloc ~shift:2;
       for i = 0 to 15 do
         Sink.emit_page_alloc ~ts:i ~addr:(0x1000 + i) ~order:0 ()
@@ -438,7 +438,7 @@ let test_sampling_deterministic_and_lossless () =
 
 let test_bad_cpu_counted_not_silent () =
   let rs, bad =
-    Session.with_flight ~cpus:1 ~slots:8 (fun _ ->
+    Session.with_flight ~slots:8 (fun _ ->
         Sink.emit_page_alloc ~ts:1 ~cpu:5 ~addr:0x1000 ~order:0 ();
         Sink.emit ~ts:2 ~cpu:9 (Event.Ep_create { container = 1 });
         (Sink.records (), Sink.bad_cpu_count ()))
@@ -452,7 +452,7 @@ let test_bad_cpu_counted_not_silent () =
 
 let test_span_pair_expands_balanced () =
   let id, rs, slots_used =
-    Session.with_flight ~cpus:1 ~slots:8 (fun f ->
+    Session.with_flight ~slots:8 (fun f ->
         let id = Span.pair ~ts:5 Span.Ctx_switch in
         (id, Sink.records (), Flight.length f ~cpu:0))
   in
@@ -475,11 +475,10 @@ let test_kv_workload_zero_drops () =
   let records, dropped, emitted, pairs =
     Session.with_flight ~slots:16384 (fun _ ->
         ignore (Kv.run ~requests:40 ());
-        let emitted = ref 0 in
-        for tag = 1 to Event.tag_count do
-          emitted := !emitted + Sink.emitted_count ~tag
-        done;
-        (Sink.records (), Sink.dropped (), !emitted, Sink.emitted_count ~tag:Event.tag_span_pair))
+        ( Sink.records (),
+          Sink.dropped (),
+          Sink.emitted_total (),
+          Sink.emitted_count ~tag:Event.tag_span_pair ))
   in
   Alcotest.(check bool) "workload emitted events" true (emitted > 0);
   Alcotest.(check int) "zero drops on a sized ring" 0 dropped;
@@ -545,9 +544,21 @@ let test_sessions_start_at_zero () =
           (emitted ());
         Alcotest.(check int) "registry zeroed" 0 (published ());
         Sink.emit_page_alloc ~addr:0x1000 ~order:0 ();
-        Sink.emit ~cpu:1 (Event.Ep_create { container = 1 }));
+        Sink.emit ~cpu:1 (Event.Ep_create { container = 1 });
+        Alcotest.(check int) "total sums every tag" 2 (Sink.emitted_total ()));
     Alcotest.(check int) "tallies published and kept on exit" 1 (published ())
   done
+
+(* The scripted workload swaps the sink's clock for its own timelines
+   while tracing; the caller's clock must be back afterwards. *)
+let test_scripted_hands_back_clock () =
+  let k, init = Helpers.boot () in
+  Session.with_flight ~slots:1024 (fun _ ->
+      Sink.set_clock (fun () -> 77);
+      let s = Atmo_workloads.Worlds.(scripted unguarded) k ~init ~iterations:4 in
+      Alcotest.(check bool) "script ran past the SMP phase" true
+        (s.Atmo_workloads.Worlds.kernel_cycles > s.smp.Atmo_sim.Smp.wall_cycles);
+      Alcotest.(check int) "caller's clock restored" 77 (Sink.now ()))
 
 (* ------------------------------------------------------------------ *)
 
@@ -590,6 +601,8 @@ let () =
           Alcotest.test_case "restores every default" `Quick test_session_restores_defaults;
           Alcotest.test_case "back-to-back sessions start at zero" `Quick
             test_sessions_start_at_zero;
+          Alcotest.test_case "scripted workload hands back the clock" `Quick
+            test_scripted_hands_back_clock;
         ] );
       ( "admission",
         [
