@@ -1161,7 +1161,7 @@ let slo () =
      wrap-free ring and ring of windows, compared online vs offline *)
   let slow_every = 20 and slow_cycles = 200_000 in
   let injected = requests / slow_every in
-  let agreement, captured, complete, compliant =
+  let agreement, captured, complete, compliant, tick_words =
     O.Session.with_flight ~slots:65536 (fun _ ->
         let m = O.Monitor.arm ~windows:512 ~window_cycles:32768 ~now:0 ~specs:[ spec ] () in
         let agree = Kv.run ~requests ~slow_every ~slow_cycles () in
@@ -1209,7 +1209,28 @@ let slo () =
         line "  exemplars: %d captured for %d injected slow requests (all complete: %b)"
           (List.length exemplars) injected complete;
         line "  verdict: %a" O.Slo.pp_verdict verdict;
-        (a50 && a99 && a999, List.length exemplars, complete, verdict.O.Slo.compliant))
+        (* 5. exact steady-state tick cost: with every name registered
+           by the run, fill the ring, then count the minor words of 1000
+           more ticks against the same measurement around a no-op. *)
+        let cap = O.Timeseries.capacity series in
+        let next = ref agree.Kv.end_cycles in
+        let tick () =
+          next := !next + 32768;
+          O.Monitor.tick m ~now:!next
+        in
+        for _ = 1 to cap do
+          tick ()
+        done;
+        let minor_words f =
+          let w0 = Gc.minor_words () in
+          for _ = 1 to 1000 do
+            f ()
+          done;
+          Gc.minor_words () -. w0
+        in
+        let tick_words = (minor_words tick -. minor_words ignore) /. 1000. in
+        line "  steady-state tick: %.3f minor words (ring of %d windows full)" tick_words cap;
+        (a50 && a99 && a999, List.length exemplars, complete, verdict.O.Slo.compliant, tick_words))
   in
   write_bench_json "BENCH_slo.json"
     [
@@ -1222,6 +1243,8 @@ let slo () =
       ("flight_overhead_pct", J.Num fl_pct);
       ("monitor_overhead_pct", J.Num mon_pct);
       ("overhead_delta_pts", J.Num delta_pts);
+      ("ticks_per_run", J.Num (float_of_int !ticks_per_run));
+      ("tick_minor_words", J.Num tick_words);
       ("events_dropped", J.Num (float_of_int !monitor_drops));
       ("requests_rolled_up", J.Num (float_of_int rolled));
       ("rollup_exact", J.Bool (rolled = 2 * requests * reps * trials));
@@ -1732,6 +1755,7 @@ let report () =
   floor_true "slo cycle identity" [ "slo"; "cycle_identity" ];
   floor_max "slo monitor delta <= 15 points" [ "slo"; "overhead_delta_pts" ] ~max_v:15.0;
   floor_max "slo zero drops" [ "slo"; "events_dropped" ] ~max_v:0.0;
+  floor_max "slo steady-state tick allocates nothing" [ "slo"; "tick_minor_words" ] ~max_v:0.0;
   floor_true "slo rollup accounting exact" [ "slo"; "rollup_exact" ];
   floor_true "slo online/post-mortem quantile agreement" [ "slo"; "quantile_agreement" ];
   floor_true "slo exemplar coverage of injected slow" [ "slo"; "exemplar_coverage" ];

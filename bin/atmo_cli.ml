@@ -412,8 +412,6 @@ let metrics_main export requests out =
 (* ------------------------------------------------------------------ *)
 (* monitor: online SLO monitor over the kv-store demo workload         *)
 
-let heartbeat_prefix = "sched/heartbeat/"
-
 let monitor_main workload requests slots slo_strs window_cycles windows slow_every
     slow_cycles prom_out trace_out =
   setup_logs ();
@@ -452,17 +450,9 @@ let monitor_main workload requests slots slo_strs window_cycles windows slow_eve
                   (h.Obs_metrics.Snapshot.n, Obs_metrics.Snapshot.quantile h 0.99)
                 | None -> (0, 0)
               in
-              let beats =
-                List.fold_left
-                  (fun acc (name, v) ->
-                    let plen = String.length heartbeat_prefix in
-                    if String.length name > plen && String.sub name 0 plen = heartbeat_prefix
-                    then acc + v
-                    else acc)
-                  0 w.Obs_timeseries.delta.Obs_metrics.Snapshot.counters
-              in
               Format.printf "%4d %10d %10d %6d %10d %7d@." w.Obs_timeseries.seq
-                w.Obs_timeseries.w_start w.Obs_timeseries.w_end reqs p99 beats)
+                w.Obs_timeseries.w_start w.Obs_timeseries.w_end reqs p99
+                (Obs_watchdog.heartbeats w))
             (Obs_timeseries.windows (Obs_monitor.series m));
           Format.printf "@.-- SLO verdicts --@.";
           List.iter

@@ -1,14 +1,20 @@
 (* Monotonic counters and log2-bucketed latency histograms, with a
    process-global registry keyed by name.  Values are cycle-clock deltas
    (or any non-negative integer); bucket [i] covers [2^i, 2^(i+1)), with
-   bucket 0 absorbing 0 and 1. *)
+   bucket 0 absorbing 0 and 1.
+
+   The registry also numbers every metric densely at registration (its
+   slot), so snapshots are flat arrays indexed by slot rather than
+   name-keyed maps; name order is computed only when something lists
+   the registry. *)
 
 module Counter = struct
-  type t = { name : string; mutable v : int }
+  type t = { name : string; slot : int; mutable v : int }
 
-  let make name = { name; v = 0 }
+  let make name = { name; slot = -1; v = 0 }
   let name t = t.name
-  let incr ?(by = 1) t = if by > 0 then t.v <- t.v + by
+  let add t by = if by > 0 then t.v <- t.v + by
+  let incr ?(by = 1) t = add t by
   let value t = t.v
   let reset t = t.v <- 0
 end
@@ -18,6 +24,7 @@ module Histogram = struct
 
   type t = {
     name : string;
+    slot : int;
     counts : int array;
     mutable n : int;
     mutable sum : int;
@@ -25,8 +32,18 @@ module Histogram = struct
     mutable vmax : int;
   }
 
-  let make name =
-    { name; counts = Array.make bucket_count 0; n = 0; sum = 0; vmin = max_int; vmax = 0 }
+  let make_slot name slot =
+    {
+      name;
+      slot;
+      counts = Array.make bucket_count 0;
+      n = 0;
+      sum = 0;
+      vmin = max_int;
+      vmax = 0;
+    }
+
+  let make name = make_slot name (-1)
 
   let name t = t.name
 
@@ -44,7 +61,8 @@ module Histogram = struct
 
   let observe t v =
     let v = max 0 v in
-    t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
+    let b = bucket_of v in
+    t.counts.(b) <- t.counts.(b) + 1;
     t.n <- t.n + 1;
     t.sum <- t.sum + v;
     if v < t.vmin then t.vmin <- v;
@@ -119,28 +137,56 @@ end
 let counters : (string, Counter.t) Hashtbl.t = Hashtbl.create 32
 let histograms : (string, Histogram.t) Hashtbl.t = Hashtbl.create 32
 
+(* Slot-ordered views of the two tables: slot [i] is the [i]-th
+   registration, and registrations never drop, so a slot names one
+   metric for the life of the process.  Registration is the rare slow
+   path and runs under [registry_mu] (the verifier's pool domains
+   register too); the array grows by doubling and the count is
+   published after the entry, so a reader bounded by the count it
+   loaded never indexes past the array it loads next. *)
+type 'a slots = { mutable arr : 'a array; count : int Atomic.t }
+
+let cslots : Counter.t slots = { arr = [||]; count = Atomic.make 0 }
+let hslots : Histogram.t slots = { arr = [||]; count = Atomic.make 0 }
+let registry_mu = Mutex.create ()
+
+let register tbl slots name make =
+  Mutex.protect registry_mu (fun () ->
+      match Hashtbl.find_opt tbl name with
+      | Some m -> m
+      | None ->
+        let slot = Atomic.get slots.count in
+        let m = make name slot in
+        if slot = Array.length slots.arr then begin
+          let a = Array.make (max 16 (2 * slot)) m in
+          Array.blit slots.arr 0 a 0 slot;
+          slots.arr <- a
+        end;
+        slots.arr.(slot) <- m;
+        Hashtbl.replace tbl name m;
+        Atomic.set slots.count (slot + 1);
+        m)
+
 let counter name =
   match Hashtbl.find_opt counters name with
   | Some c -> c
-  | None ->
-    let c = Counter.make name in
-    Hashtbl.replace counters name c;
-    c
+  | None -> register counters cslots name (fun name slot -> { Counter.name; slot; v = 0 })
 
 let histogram name =
   match Hashtbl.find_opt histograms name with
   | Some h -> h
-  | None ->
-    let h = Histogram.make name in
-    Hashtbl.replace histograms name h;
-    h
+  | None -> register histograms hslots name Histogram.make_slot
+
+let counter_count () = Atomic.get cslots.count
+let counter_at slot = cslots.arr.(slot)
 
 let bump ?by name = Counter.incr ?by (counter name)
 let observe name v = Histogram.observe (histogram name) v
 
+let by_name (a, _) (b, _) = String.compare a b
+
 let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort by_name
 
 let all_counters () = sorted_bindings counters
 let all_histograms () = sorted_bindings histograms
@@ -173,63 +219,100 @@ let dump () =
 (* ------------------------------------------------------------------ *)
 (* Snapshots and deltas                                                *)
 
-(* A snapshot is a pure, deterministic copy of the whole registry:
-   both tables sorted by name, bucket arrays copied out.  Taking one
-   is a single pass over the registry, which is what makes windowed
-   rollups cheap — the per-window cost is one snapshot + one diff, not
-   per-event work.  [diff] clamps negative deltas to zero so a
-   [reset] landing between two snapshots degrades to an empty window
+(* A snapshot is flat int arrays indexed by slot: counter values, and
+   per histogram its sample count, sum and 63 bucket counts laid end to
+   end.  It covers the slots registered when it was last written; a
+   later slot reads as zero (counters) or absent (histograms), so names
+   registered after a base snapshot diff against zero.  The window
+   tick is [advance]: one pass over the slot arrays that subtracts the
+   base from the live registry into a reused delta buffer and refreshes
+   the base, allocating nothing unless the registry grew.  Deltas clamp
+   at zero, so a [reset] between two ticks degrades to an empty window
    instead of nonsense. *)
 module Snapshot = struct
   type hist = { counts : int array; n : int; sum : int }
-  type t = { counters : (string * int) list; hists : (string * hist) list }
 
-  let empty_hist =
-    { counts = Array.make Histogram.bucket_count 0; n = 0; sum = 0 }
+  type t = {
+    mutable cv : int array;  (* counter value by slot *)
+    mutable hn : int array;  (* histogram sample count by slot *)
+    mutable hsum : int array;
+    mutable hb : int array;  (* slot [s]'s buckets at [s * bucket_count] *)
+  }
 
+  let bc = Histogram.bucket_count
+  let create () = { cv = [||]; hn = [||]; hsum = [||]; hb = [||] }
+
+  let resized a n =
+    if Array.length a = n then a
+    else begin
+      let b = Array.make n 0 in
+      Array.blit a 0 b 0 (min n (Array.length a));
+      b
+    end
+
+  (* Cover exactly [nc] counter and [nh] histogram slots, keeping the
+     values already held; new slots start at zero. *)
+  let fit t nc nh =
+    t.cv <- resized t.cv nc;
+    t.hn <- resized t.hn nh;
+    t.hsum <- resized t.hsum nh;
+    t.hb <- resized t.hb (nh * bc)
+
+  (* A histogram delta's [n] is the sum of its clamped bucket deltas, so
+     it always agrees with its buckets. *)
+  let advance ~base ~into =
+    let nc = Atomic.get cslots.count and nh = Atomic.get hslots.count in
+    fit base nc nh;
+    fit into nc nh;
+    let cs = cslots.arr and hs = hslots.arr in
+    for s = 0 to nc - 1 do
+      let v = cs.(s).Counter.v in
+      into.cv.(s) <- Int.max 0 (v - base.cv.(s));
+      base.cv.(s) <- v
+    done;
+    for s = 0 to nh - 1 do
+      let h = hs.(s) and o = s * bc in
+      let n = ref 0 in
+      for b = 0 to bc - 1 do
+        let v = h.Histogram.counts.(b) in
+        let d = Int.max 0 (v - base.hb.(o + b)) in
+        into.hb.(o + b) <- d;
+        n := !n + d;
+        base.hb.(o + b) <- v
+      done;
+      into.hn.(s) <- !n;
+      into.hsum.(s) <- Int.max 0 (h.Histogram.sum - base.hsum.(s));
+      base.hn.(s) <- h.Histogram.n;
+      base.hsum.(s) <- h.Histogram.sum
+    done
+
+  (* Advancing an empty base leaves it a copy of the live registry. *)
   let take () =
-    {
-      counters = List.map (fun (n, c) -> (n, Counter.value c)) (all_counters ());
-      hists =
-        List.map
-          (fun (n, h) ->
-            (n, { counts = Histogram.buckets h; n = Histogram.count h; sum = Histogram.sum h }))
-          (all_histograms ());
-    }
+    let t = create () in
+    advance ~base:t ~into:(create ());
+    t
 
-  (* Merge-join over the sorted name lists.  Names present only in the
-     current snapshot (registered since [base]) diff against zero;
-     names present only in [base] cannot happen (registrations never
-     drop) but are skipped defensively. *)
-  let diff ~base cur =
-    let rec dc bs cs acc =
-      match (bs, cs) with
-      | _, [] -> List.rev acc
-      | [], (n, v) :: cs -> dc [] cs ((n, max 0 v) :: acc)
-      | (bn, bv) :: bs', ((n, v) :: cs' as cs0) ->
-        let c = String.compare bn n in
-        if c < 0 then dc bs' cs0 acc
-        else if c = 0 then dc bs' cs' ((n, max 0 (v - bv)) :: acc)
-        else dc bs cs' ((n, max 0 v) :: acc)
-    in
-    let dh (bh : hist) (h : hist) =
-      let counts = Array.init Histogram.bucket_count (fun i -> max 0 (h.counts.(i) - bh.counts.(i))) in
-      { counts; n = Array.fold_left ( + ) 0 counts; sum = max 0 (h.sum - bh.sum) }
-    in
-    let rec dhs bs cs acc =
-      match (bs, cs) with
-      | _, [] -> List.rev acc
-      | [], (n, h) :: cs -> dhs [] cs ((n, dh empty_hist h) :: acc)
-      | (bn, bh) :: bs', ((n, h) :: cs' as cs0) ->
-        let c = String.compare bn n in
-        if c < 0 then dhs bs' cs0 acc
-        else if c = 0 then dhs bs' cs' ((n, dh bh h) :: acc)
-        else dhs bs cs' ((n, dh empty_hist h) :: acc)
-    in
-    { counters = dc base.counters cur.counters []; hists = dhs base.hists cur.hists [] }
+  let counter_at t slot =
+    if slot >= 0 && slot < Array.length t.cv then t.cv.(slot) else 0
 
-  let counter t name = Option.value ~default:0 (List.assoc_opt name t.counters)
-  let hist t name = List.assoc_opt name t.hists
+  let counter t name =
+    match Hashtbl.find_opt counters name with
+    | Some c -> counter_at t c.Counter.slot
+    | None -> 0
+
+  let hist_at t s = { counts = Array.sub t.hb (s * bc) bc; n = t.hn.(s); sum = t.hsum.(s) }
+
+  let hist t name =
+    match Hashtbl.find_opt histograms name with
+    | Some h when h.Histogram.slot < Array.length t.hn -> Some (hist_at t h.Histogram.slot)
+    | _ -> None
+
+  let listing t =
+    let cs = cslots.arr and hs = hslots.arr in
+    ( List.init (Array.length t.cv) (fun s -> (cs.(s).Counter.name, t.cv.(s)))
+      |> List.sort by_name,
+      List.init (Array.length t.hn) (fun s -> (hs.(s).Histogram.name, hist_at t s))
+      |> List.sort by_name )
 
   let merge_hists hs =
     let acc = { counts = Array.make Histogram.bucket_count 0; n = 0; sum = 0 } in

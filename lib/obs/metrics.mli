@@ -5,7 +5,8 @@
     range; quantiles report the upper edge of the selected bucket,
     clamped to the observed extremes, and are monotone in [q] by
     construction.  A process-global registry hands out metrics by name
-    so instrumentation sites need no plumbing. *)
+    so instrumentation sites need no plumbing, and numbers each one
+    densely at registration (its slot) so snapshots are flat arrays. *)
 
 module Counter : sig
   type t
@@ -14,6 +15,10 @@ module Counter : sig
   val name : t -> string
   val incr : ?by:int -> t -> unit
   (** Monotonic: non-positive [by] is ignored. *)
+
+  val add : t -> int -> unit
+  (** [add t by] is [incr ~by t] without boxing the optional argument,
+      for callers that must not allocate. *)
 
   val value : t -> int
   val reset : t -> unit
@@ -61,6 +66,14 @@ val counter : string -> Counter.t
 (** Get-or-create by name. *)
 
 val histogram : string -> Histogram.t
+
+val counter_count : unit -> int
+(** Counters registered so far; their slots are [0 .. counter_count () - 1],
+    in registration order, fixed for the life of the process. *)
+
+val counter_at : int -> Counter.t
+(** The counter registered in a slot below {!counter_count}. *)
+
 val bump : ?by:int -> string -> unit
 val observe : string -> int -> unit
 val all_counters : unit -> (string * Counter.t) list
@@ -82,31 +95,46 @@ val pp_table : Format.formatter -> unit -> unit
 
 (** {2 Snapshots and deltas}
 
-    A deterministic point-in-time copy of the whole registry, sorted by
-    name, taken in one pass — the primitive under windowed time-series
-    rollups: per-window cost is one {!Snapshot.take} plus one
-    {!Snapshot.diff}, independent of the event rate. *)
+    A point-in-time copy of the whole registry as flat int arrays
+    indexed by slot — the primitive under windowed time-series
+    rollups.  {!Snapshot.advance} is the window tick: one pass over the
+    slot arrays into buffers the caller keeps, allocation-free unless
+    the registry grew.  Name order is computed only by
+    {!Snapshot.listing}. *)
 module Snapshot : sig
   type hist = { counts : int array; n : int; sum : int }
   (** Bucket counts (length {!Histogram.bucket_count}), sample count,
       and value sum.  In a delta, all three are the window's increment. *)
 
-  type t = { counters : (string * int) list; hists : (string * hist) list }
-  (** Both lists sorted by name; zero-valued entries included. *)
+  type t
+  (** Covers the slots registered when it was last written; a later
+      slot reads as 0 (counters) or absent (histograms). *)
+
+  val create : unit -> t
+  (** Covers no slot. *)
 
   val take : unit -> t
 
-  val diff : base:t -> t -> t
-  (** [diff ~base cur] is the per-name increment from [base] to [cur],
-      bucket-wise for histograms, sorted, deterministic.  Names
-      registered after [base] diff against zero.  Negative deltas (a
-      {!val:reset} between the snapshots) clamp to zero, so a window
-      spanning a reset reads as empty rather than garbage. *)
+  val advance : base:t -> into:t -> unit
+  (** [advance ~base ~into] writes the per-slot increment from [base]
+      to the live registry into [into] (bucket-wise for histograms),
+      then makes [base] a copy of the live registry — one pass, with
+      both regrown only when the registry has grown since they were
+      last written.  Names registered after [base] diff against zero.
+      Negative deltas (a {!val:reset} since [base]) clamp to zero, so a
+      window spanning a reset reads as empty rather than garbage. *)
 
   val counter : t -> string -> int
   (** Value by name, 0 when absent. *)
 
+  val counter_at : t -> int -> int
+  (** Value by counter slot (see {!counter_count}), 0 when not covered. *)
+
   val hist : t -> string -> hist option
+
+  val listing : t -> (string * int) list * (string * hist) list
+  (** Counters and histograms, each sorted by name; zero-valued
+      entries included. *)
 
   val merge_hists : hist list -> hist
   (** Bucket-wise sum — merging window deltas of one histogram loses no

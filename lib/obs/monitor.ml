@@ -4,11 +4,16 @@
    Arming installs three things: the slow-root threshold (tightest
    armed `lat/request` limit, so the ledger collects exactly the SLO's
    violators), the window tick (first span close past each boundary
-   closes a rollup window), and a baseline watchdog sample.  Each tick
-   costs one registry snapshot + diff, one gauge sample, and one
-   watchdog sweep over the retained windows — all off the per-event
-   path, so the production-cost guarantees of the emit layer survive
-   (re-gated by `bench slo`).
+   closes a rollup window), and a baseline watchdog sample.  A tick is
+   one pass over the registry's slot arrays into a reused ring slot,
+   three stores into the gauge ring, and a watchdog sweep that reads
+   the horizon windows in place: with the ring full and the registry
+   stable it allocates nothing (`test_monitor` gates 0 words over 1000
+   ticks; before the slot-indexed rollups a tick copied the registry
+   into sorted lists, about 7.3k words and 24 us).  At the default
+   32768-cycle windows a kv GET (~174k cycles) crosses a boundary, so
+   a request ticks about once — which is why the tick must be cheap.
+   Nothing runs per event.
 
    Exactly one monitor is active at a time, mirroring the sink
    registry's discipline. *)
@@ -18,7 +23,7 @@ type t = {
   specs : Slo.spec list;
   config : Watchdog.config;
   depth_probe : (unit -> int) option;
-  mutable samples : Watchdog.sample list;  (* newest first *)
+  gauges : Watchdog.gauges;  (* the newest [capacity + 1] samples *)
   mutable findings : Watchdog.report list;  (* newest first *)
   seen : (int * int * int, unit) Hashtbl.t;
 }
@@ -27,27 +32,26 @@ let active_m : t option ref = ref None
 
 let active () = !active_m
 
-let sample_now m ~seq =
+let sample m ~seq =
   let depth = match m.depth_probe with None -> 0 | Some f -> f () in
-  { Watchdog.sseq = seq; depth; drops = Sink.dropped () }
+  Watchdog.record m.gauges ~seq ~depth ~drops:(Sink.dropped ())
+
+let rec note m = function
+  | [] -> ()
+  | r :: rest ->
+    let k = Watchdog.report_key r in
+    if not (Hashtbl.mem m.seen k) then begin
+      Hashtbl.replace m.seen k ();
+      m.findings <- r :: m.findings
+    end;
+    note m rest
 
 let tick m ~now =
   (* Drop accounting first so the tallies it publishes land inside the
      window being closed, not the next one. *)
-  let s = sample_now m ~seq:(Timeseries.ticks m.series) in
+  sample m ~seq:(Timeseries.ticks m.series);
   Timeseries.tick m.series ~now;
-  m.samples <- s :: m.samples;
-  let cap = Timeseries.capacity m.series + 1 in
-  (if List.length m.samples > cap then
-     m.samples <- List.filteri (fun i _ -> i < cap) m.samples);
-  List.iter
-    (fun r ->
-      let k = Watchdog.report_key r in
-      if not (Hashtbl.mem m.seen k) then begin
-        Hashtbl.replace m.seen k ();
-        m.findings <- r :: m.findings
-      end)
-    (Watchdog.check ~config:m.config m.series ~samples:(List.rev m.samples));
+  note m (Watchdog.check ~config:m.config m.series m.gauges);
   Span.set_tick_at (Timeseries.next_boundary m.series)
 
 let disarm () =
@@ -63,9 +67,17 @@ let arm ?(windows = 64) ?(config = Watchdog.default_config) ?depth_probe ~window
   disarm ();
   let series = Timeseries.create ~windows ~window_cycles ~now () in
   let m =
-    { series; specs; config; depth_probe; samples = []; findings = []; seen = Hashtbl.create 16 }
+    {
+      series;
+      specs;
+      config;
+      depth_probe;
+      gauges = Watchdog.gauges (windows + 1);
+      findings = [];
+      seen = Hashtbl.create 16;
+    }
   in
-  m.samples <- [ sample_now m ~seq:(-1) ];
+  sample m ~seq:(-1);
   active_m := Some m;
   let threshold =
     List.fold_left
@@ -88,7 +100,7 @@ let verdicts m = List.map (fun s -> Slo.evaluate s m.series) m.specs
 let compliant m = List.for_all (fun (v : Slo.verdict) -> v.Slo.compliant) (verdicts m)
 let findings m = List.rev m.findings
 
-let samples m = List.rev m.samples
+let samples m = Watchdog.samples m.gauges
 
 let capture_exemplars ?max_exemplars m =
   ignore m;

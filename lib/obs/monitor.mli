@@ -4,8 +4,11 @@
     Exactly one monitor is active at a time (mirroring the sink
     registry).  Arming sets the slow-root threshold to the tightest
     [lat/request] SLO limit and schedules a window tick at
-    [now + window_cycles]; every tick is one registry snapshot + diff,
-    one gauge sample, and one watchdog sweep — nothing per event. *)
+    [now + window_cycles]; every tick is one pass over the registry's
+    slot arrays into a reused ring slot, one gauge sample into a fixed
+    ring, and one watchdog sweep over the horizon windows in place —
+    nothing per event, and nothing allocated once the ring is full and
+    the registry stable. *)
 
 type t
 
@@ -48,8 +51,8 @@ val findings : t -> Watchdog.report list
     in firing order. *)
 
 val samples : t -> Watchdog.sample list
-(** Gauge samples, oldest first (first entry is the arm-time
-    baseline, [sseq = -1]). *)
+(** The newest [windows + 1] gauge samples, oldest first; until the
+    ring wraps, the first is the arm-time baseline ([sseq = -1]). *)
 
 val capture_exemplars : ?max_exemplars:int -> t -> Exemplar.t list
 (** Decode the flight ring and build exemplar trails for every

@@ -56,18 +56,34 @@ let bad_cpu = ref 0
 let published_bad_cpu = ref 0
 
 (* Sync the hot-path tallies into the metrics registry by delta.  Kept
-   off the emit path (a registry bump is a hashtable probe); called
-   from [records]/[dropped] and explicitly by benches/CLI. *)
+   off the emit path; called from [records]/[dropped] (so once per
+   monitor tick) and explicitly by benches/CLI.  Each tag's registry
+   handles are looked up by name once, on its first non-zero delta, and
+   cached ([Metrics.reset] zeroes in place, so handles stay valid). *)
+let emitted_ctrs : Metrics.Counter.t option array = Array.make counters_len None
+let sampled_ctrs : Metrics.Counter.t option array = Array.make counters_len None
+
+let publish ctrs prefix tag by =
+  let c =
+    match ctrs.(tag) with
+    | Some c -> c
+    | None ->
+      let c = Metrics.counter (prefix ^ Event.tag_name tag) in
+      ctrs.(tag) <- Some c;
+      c
+  in
+  Metrics.Counter.add c by
+
 let publish_counters () =
   for tag = 1 to Event.tag_count do
     let d = emitted.(tag) - published_emitted.(tag) in
     if d > 0 then begin
-      Metrics.bump ~by:d ("obs/emitted/" ^ Event.tag_name tag);
+      publish emitted_ctrs "obs/emitted/" tag d;
       published_emitted.(tag) <- emitted.(tag)
     end;
     let d = sampled_out.(tag) - published_sampled.(tag) in
     if d > 0 then begin
-      Metrics.bump ~by:d ("obs/sampled_out/" ^ Event.tag_name tag);
+      publish sampled_ctrs "obs/sampled_out/" tag d;
       published_sampled.(tag) <- sampled_out.(tag)
     end
   done;

@@ -2,10 +2,13 @@
 
    The registry's counters and histograms are cumulative; production
    monitoring wants *rates* — what happened in the last window, not
-   since boot.  A [tick] closes the open window by taking one registry
-   snapshot and storing its delta against the previous snapshot in a
-   fixed-size wraparound ring, so the whole rollup machinery costs one
-   registry pass per window boundary and nothing per event.
+   since boot.  A [tick] closes the open window by subtracting the
+   base snapshot from the live registry straight into the ring slot's
+   own delta buffers and refreshing the base in the same pass
+   ([Metrics.Snapshot.advance]).  Slots are allocated when first used
+   and reused on wraparound, so with the ring full and the registry
+   stable a tick is one fixed-size array pass that allocates nothing,
+   and nothing at all happens per event.
 
    Window boundaries ride on the cycle clock of whoever owns the
    timeline (the span layer's close path polls it), so window edges are
@@ -13,20 +16,22 @@
    [w_start]/[w_end] and rates divide by the real width. *)
 
 type window = {
-  seq : int;  (* 0-based tick number, monotone across wraparound *)
-  w_start : int;
-  w_end : int;
+  mutable seq : int;  (* 0-based tick number, monotone across wraparound *)
+  mutable w_start : int;
+  mutable w_end : int;
   delta : Metrics.Snapshot.t;
 }
 
 type t = {
   cap : int;
   window_cycles : int;
-  ring : window option array;
+  ring : window array;  (* tick [i] in slot [i mod cap]; [unused] until first written *)
   mutable nticks : int;
-  mutable base : Metrics.Snapshot.t;
+  base : Metrics.Snapshot.t;
   mutable w_open : int;  (* start timestamp of the currently-open window *)
 }
+
+let unused = { seq = -1; w_start = 0; w_end = 0; delta = Metrics.Snapshot.create () }
 
 let create ?(windows = 64) ~window_cycles ~now () =
   if windows <= 0 then invalid_arg "Timeseries.create: windows must be positive";
@@ -34,44 +39,47 @@ let create ?(windows = 64) ~window_cycles ~now () =
   {
     cap = windows;
     window_cycles;
-    ring = Array.make windows None;
+    ring = Array.make windows unused;
     nticks = 0;
     base = Metrics.Snapshot.take ();
     w_open = now;
   }
 
 let tick t ~now =
-  let cur = Metrics.Snapshot.take () in
+  let i = t.nticks mod t.cap in
   let w =
-    { seq = t.nticks; w_start = t.w_open; w_end = now; delta = Metrics.Snapshot.diff ~base:t.base cur }
+    if t.ring.(i) != unused then t.ring.(i)
+    else begin
+      let w = { seq = 0; w_start = 0; w_end = 0; delta = Metrics.Snapshot.create () } in
+      t.ring.(i) <- w;
+      w
+    end
   in
-  t.ring.(t.nticks mod t.cap) <- Some w;
+  Metrics.Snapshot.advance ~base:t.base ~into:w.delta;
+  w.seq <- t.nticks;
+  w.w_start <- t.w_open;
+  w.w_end <- now;
   t.nticks <- t.nticks + 1;
-  t.base <- cur;
   t.w_open <- now
 
 let ticks t = t.nticks
 let capacity t = t.cap
 let window_cycles t = t.window_cycles
 let next_boundary t = t.w_open + t.window_cycles
+let retained t = min t.nticks t.cap
 
-let windows t =
-  let lo = max 0 (t.nticks - t.cap) in
-  let rec go i acc =
-    if i < lo then acc
-    else
-      match t.ring.(i mod t.cap) with
-      | Some w -> go (i - 1) (w :: acc)
-      | None -> go (i - 1) acc
-  in
-  go (t.nticks - 1) []
+let recent t k =
+  if k < 0 || k >= retained t then invalid_arg "Timeseries.recent: no such window";
+  t.ring.((t.nticks - 1 - k) mod t.cap)
 
 let last t n =
-  let ws = windows t in
-  let drop = max 0 (List.length ws - n) in
-  List.filteri (fun i _ -> i >= drop) ws
+  let rec go k acc =
+    if k >= min n (retained t) then acc else go (k + 1) (recent t k :: acc)
+  in
+  go 0 []
 
-let latest t = if t.nticks = 0 then None else t.ring.((t.nticks - 1) mod t.cap)
+let windows t = last t t.cap
+let latest t = if t.nticks = 0 then None else Some (recent t 0)
 
 let merged t ~name ~n =
   last t n

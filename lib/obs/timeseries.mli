@@ -2,21 +2,25 @@
 
     A wraparound ring of the last N windows, each holding the registry
     delta (counter increments, histogram bucket increments) for one
-    slice of the cycle timeline.  {!tick} closes the open window with a
-    single {!Metrics.Snapshot.take}/{!Metrics.Snapshot.diff} pass, so
-    rollup cost is per window boundary, never per event.
+    slice of the cycle timeline.  {!tick} closes the open window with
+    one {!Metrics.Snapshot.advance} pass into the ring slot's own
+    buffers (reused on wraparound), so rollup cost is per window
+    boundary, never per event, and a tick on a full ring over a stable
+    registry allocates nothing.
 
     Boundaries follow whoever owns the timeline — the span layer's
     close path polls {!next_boundary} — so windows are {e at least}
     [window_cycles] wide; each records its actual edges and {!rate}
     divides by the real width. *)
 
-type window = {
-  seq : int;  (** 0-based tick number, monotone across wraparound *)
-  w_start : int;
-  w_end : int;
+type window = private {
+  mutable seq : int;  (** 0-based tick number, monotone across wraparound *)
+  mutable w_start : int;
+  mutable w_end : int;
   delta : Metrics.Snapshot.t;  (** registry increment over this window *)
 }
+(** A ring slot: it describes its window until the ring wraps onto it
+    ([capacity] ticks later), when it is rewritten in place. *)
 
 type t
 
@@ -26,9 +30,9 @@ val create : ?windows:int -> window_cycles:int -> now:int -> unit -> t
     before [create] never leaks into the first window. *)
 
 val tick : t -> now:int -> unit
-(** Close the open window at [now]: one registry snapshot, delta vs.
-    the previous one, stored in the ring (evicting the oldest window
-    once full); a fresh window opens at [now]. *)
+(** Close the open window at [now]: the registry's increment since the
+    previous tick is written into the next ring slot (overwriting the
+    oldest window once full); a fresh window opens at [now]. *)
 
 val ticks : t -> int
 (** Windows closed so far (not capped by the ring size). *)
@@ -38,6 +42,13 @@ val window_cycles : t -> int
 
 val next_boundary : t -> int
 (** Earliest timestamp at which the open window is due to close. *)
+
+val retained : t -> int
+(** Windows in the ring: [min (ticks t) (capacity t)]. *)
+
+val recent : t -> int -> window
+(** [recent t k] is the [k]-th newest retained window ([0] = latest),
+    read from the ring without copying; [k < retained t]. *)
 
 val windows : t -> window list
 (** Retained windows, oldest first (at most [capacity] of them). *)

@@ -49,10 +49,29 @@ type sample = { sseq : int; depth : int; drops : int }
     the monitor's probe) and the cumulative flight-recorder drop
     count.  [sseq = -1] marks the baseline sample taken at arm time. *)
 
-val check : ?config:config -> Timeseries.t -> samples:sample list -> report list
-(** Evaluate every rule over the retained windows and [samples]
-    (oldest first).  Deterministic: sorted by {!report_key}.  Reports
-    repeat on later checks while their condition persists — the
-    monitor dedupes by {!report_key}. *)
+type gauges
+(** A fixed ring of the newest gauge samples. *)
+
+val gauges : int -> gauges
+(** An empty ring keeping the newest [n > 0] samples. *)
+
+val record : gauges -> seq:int -> depth:int -> drops:int -> unit
+(** Add a sample, evicting the oldest once full; allocates nothing. *)
+
+val samples : gauges -> sample list
+(** Held samples, oldest first. *)
+
+val heartbeats : Timeseries.window -> int
+(** The window's summed [sched/heartbeat/<cpu>] deltas, over the same
+    counter slots {!check}'s cpu-silent rule reads. *)
+
+val check : config:config -> Timeseries.t -> gauges -> report list
+(** Evaluate every rule over the newest retained windows (at most
+    [max (silent_windows + 1) 8]) and the held samples.  Counter slots
+    are resolved from names only when the registry has grown, and the
+    windows are read in place, so a sweep that reports nothing
+    allocates nothing.  Deterministic: sorted by {!report_key}.
+    Reports repeat on later checks while their condition persists —
+    the monitor dedupes by {!report_key}. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -31,8 +31,9 @@ let test_snapshot_sorted () =
   Metrics.observe "z/hist" 100;
   Metrics.observe "a/hist" 7;
   let s = Metrics.Snapshot.take () in
-  let cnames = List.map fst s.Metrics.Snapshot.counters in
-  let hnames = List.map fst s.Metrics.Snapshot.hists in
+  let counters, hists = Metrics.Snapshot.listing s in
+  let cnames = List.map fst counters in
+  let hnames = List.map fst hists in
   checkb "counters sorted" true (cnames = List.sort String.compare cnames);
   checkb "hists sorted" true (hnames = List.sort String.compare hnames);
   let s2 = Metrics.Snapshot.take () in
@@ -44,7 +45,8 @@ let test_snapshot_diff () =
   Metrics.bump ~by:4 "d/counter";
   Metrics.observe "d/hist" 100;
   Metrics.observe "d/hist" 100;
-  let d = Metrics.Snapshot.diff ~base (Metrics.Snapshot.take ()) in
+  let d = Metrics.Snapshot.create () in
+  Metrics.Snapshot.advance ~base ~into:d;
   checki "counter delta" 4 (Metrics.Snapshot.counter d "d/counter");
   (match Metrics.Snapshot.hist d "d/hist" with
   | None -> Alcotest.fail "hist missing from delta"
@@ -66,15 +68,16 @@ let test_reset_clamps_and_cached_handle () =
   Metrics.Counter.incr ~by:3 c;
   Metrics.observe "r/hist" 50;
   Metrics.reset ();
-  let cur = Metrics.Snapshot.take () in
-  let d = Metrics.Snapshot.diff ~base cur in
+  let d = Metrics.Snapshot.create () in
+  Metrics.Snapshot.advance ~base ~into:d;
   checki "reset window clamps counter delta to 0" 0
     (Metrics.Snapshot.counter d "r/cached");
   (* The cached handle still reaches the registry after resets. *)
   Metrics.Counter.incr ~by:7 c;
   checki "cached handle feeds registry across reset" 7
     (Metrics.Counter.value (Metrics.counter "r/cached"));
-  let d2 = Metrics.Snapshot.diff ~base:cur (Metrics.Snapshot.take ()) in
+  let d2 = Metrics.Snapshot.create () in
+  Metrics.Snapshot.advance ~base ~into:d2;
   checki "post-reset window sees new increments" 7
     (Metrics.Snapshot.counter d2 "r/cached")
 
@@ -132,6 +135,147 @@ let test_timeseries_empty_windows () =
   let v = Slo.evaluate spec s in
   checki "no samples" 0 v.Slo.samples;
   checkb "vacuously compliant" true v.Slo.compliant
+
+(* Seeded randomized oracle: bumps, observes, registrations between
+   ticks, a [Metrics.reset] between two ticks and ring wraparound.  Each
+   window's delta must equal a name-keyed diff the test builds from
+   [Metrics.all_counters]/[all_histograms] at every tick. *)
+let test_timeseries_oracle () =
+  Metrics.reset ();
+  let rng = Random.State.make [| 16 |] in
+  let registry () =
+    ( List.map (fun (n, c) -> (n, Metrics.Counter.value c)) (Metrics.all_counters ()),
+      List.map
+        (fun (n, h) ->
+          ( n,
+            {
+              Metrics.Snapshot.counts = Metrics.Histogram.buckets h;
+              n = Metrics.Histogram.count h;
+              sum = Metrics.Histogram.sum h;
+            } ))
+        (Metrics.all_histograms ()) )
+  in
+  let reference (pc, ph) (cc, ch) =
+    let before l n = List.assoc_opt n l in
+    ( List.map
+        (fun (n, v) -> (n, max 0 (v - Option.value ~default:0 (before pc n))))
+        cc,
+      List.map
+        (fun (n, (h : Metrics.Snapshot.hist)) ->
+          let b =
+            match before ph n with
+            | Some (b : Metrics.Snapshot.hist) -> b
+            | None -> { Metrics.Snapshot.counts = Array.make 63 0; n = 0; sum = 0 }
+          in
+          let counts = Array.mapi (fun i c -> max 0 (c - b.counts.(i))) h.counts in
+          let n_delta = Array.fold_left ( + ) 0 counts in
+          (n, { Metrics.Snapshot.counts; n = n_delta; sum = max 0 (h.sum - b.sum) }))
+        ch )
+  in
+  let check_window (w : Timeseries.window) (rc, rh) =
+    let gc, gh = Metrics.Snapshot.listing w.Timeseries.delta in
+    let seq = w.Timeseries.seq in
+    let first_diff what show expected got =
+      let rec go = function
+        | [], [] -> ()
+        | (n, e) :: _, [] ->
+          Alcotest.failf "window %d: %s %s: expected %s, missing" seq what n (show e)
+        | [], (n, g) :: _ -> Alcotest.failf "window %d: %s %s: unexpected %s" seq what n (show g)
+        | (n, e) :: es, (m, g) :: gs ->
+          if n <> m then Alcotest.failf "window %d: %s %s expected, %s found" seq what n m
+          else if e <> g then
+            Alcotest.failf "window %d: %s %s: expected %s, got %s" seq what n (show e) (show g)
+          else go (es, gs)
+      in
+      go (expected, got)
+    in
+    first_diff "counter" string_of_int rc gc;
+    let show (h : Metrics.Snapshot.hist) =
+      Printf.sprintf "n=%d sum=%d [%s]" h.n h.sum
+        (String.concat ";" (Array.to_list (Array.map string_of_int h.counts)))
+    in
+    first_diff "histogram" show rh gh;
+    List.iter
+      (fun (n, v) -> checki ("counter by name " ^ n) v (Timeseries.counter w ~name:n))
+      rc
+  in
+  let s = Timeseries.create ~windows:4 ~window_cycles:10 ~now:0 () in
+  let prev = ref (registry ()) in
+  let expected = Hashtbl.create 64 in
+  let ntick = 37 and reset_at = 17 in
+  for t = 1 to ntick do
+    (* Names come from a growing pool, so later ticks register new ones. *)
+    let pool = 2 + (t / 3) in
+    for _ = 1 to Random.State.int rng 12 do
+      let counter () = Printf.sprintf "o/c%d" (Random.State.int rng pool) in
+      match Random.State.int rng 3 with
+      | 0 -> Metrics.bump ~by:(Random.State.int rng 50) (counter ())
+      | 1 ->
+        Metrics.observe
+          (Printf.sprintf "o/h%d" (Random.State.int rng (1 + (pool / 3))))
+          (Random.State.int rng (1 lsl Random.State.int rng 30))
+      | _ -> Metrics.Counter.incr (Metrics.counter (counter ()))
+    done;
+    if t = reset_at then Metrics.reset ();
+    Timeseries.tick s ~now:(t * 10);
+    let cur = registry () in
+    let r = reference !prev cur in
+    prev := cur;
+    Hashtbl.replace expected (t - 1) r;
+    match Timeseries.latest s with
+    | Some w -> check_window w r
+    | None -> Alcotest.fail "no window after tick"
+  done;
+  Alcotest.(check (list int)) "ring wrapped" [ 33; 34; 35; 36 ]
+    (List.map (fun w -> w.Timeseries.seq) (Timeseries.windows s));
+  List.iter
+    (fun (w : Timeseries.window) -> check_window w (Hashtbl.find expected w.Timeseries.seq))
+    (Timeseries.windows s)
+
+(* With the ring full and the registry stable, a tick of an armed
+   monitor allocates nothing: its words are measured against the same
+   loop around a no-op, so the [Gc.minor_words] reads cancel out.
+   Requests on both CPUs between ticks keep every heartbeat, the
+   request histogram and the sink's publish path moving. *)
+let test_tick_allocates_nothing () =
+  Session.with_flight ~slots:16384 (fun _ ->
+      let spec =
+        match Slo.parse "lat/request:p99<=262143@8" with
+        | Ok s -> s
+        | Error e -> Alcotest.fail e
+      in
+      let window = 1000 in
+      let m = Monitor.arm ~windows:16 ~window_cycles:window ~now:0 ~specs:[ spec ] () in
+      let requests i =
+        List.iter
+          (fun cpu ->
+            Sink.set_cpu cpu;
+            let s = Span.begin_ ~ts:(i * window) Span.Request in
+            Span.end_ ~ts:((i * window) + 10) s)
+          [ 0; 1 ]
+      in
+      let words f ~from =
+        let total = ref 0 in
+        for i = from to from + 999 do
+          requests i;
+          let w0 = Gc.minor_words () in
+          f i;
+          total := !total + int_of_float (Gc.minor_words () -. w0)
+        done;
+        !total
+      in
+      let tick i = Monitor.tick m ~now:((i * window) + 20) in
+      (* Warm up: fill the ring and register every name the loop uses. *)
+      for i = 1 to 32 do
+        requests i;
+        tick i
+      done;
+      let control = words (fun _ -> ()) ~from:33 in
+      let ticked = words tick ~from:1033 in
+      checki "minor words over 1000 steady-state ticks" 0 (ticked - control);
+      checkb "watchdog stayed quiet" true (Monitor.findings m = []);
+      let merged = Timeseries.merged (Monitor.series m) ~name:"lat/request" ~n:8 in
+      checki "the ticks rolled the requests up" 16 merged.Metrics.Snapshot.n)
 
 (* ------------------------------------------------------------------ *)
 (* SLO specs                                                           *)
@@ -372,6 +516,10 @@ let () =
           Alcotest.test_case "single window rollup" `Quick test_timeseries_basic;
           Alcotest.test_case "ring wraparound" `Quick test_timeseries_wraparound;
           Alcotest.test_case "empty windows" `Quick test_timeseries_empty_windows;
+          Alcotest.test_case "seeded oracle against name-keyed diffs" `Quick
+            test_timeseries_oracle;
+          Alcotest.test_case "steady-state tick allocates nothing" `Quick
+            test_tick_allocates_nothing;
         ] );
       ( "slo",
         [
